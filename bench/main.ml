@@ -14,9 +14,7 @@
    the model checker's pinned configuration (both fingerprint backends),
    and write the numbers as JSON (default file: BENCH_results.json). CI's
    bench-smoke step diffs that file's keys and gates on a states/sec
-   floor via --min-mc-states-per-sec; the multi-core leg additionally
-   gates on --min-swarm-j4-speedup (swarm+shared j4 wall vs the
-   sequential cursor j1 arm). *)
+   floor via --min-mc-states-per-sec. *)
 
 open Bechamel
 open Toolkit
@@ -248,18 +246,6 @@ let min_mc_floor =
   in
   scan argv
 
-(* Multi-core acceptance gate: fail when the swarm arm at jobs=4 is not
-   at least this much faster (wall-clock) than the sequential jobs=1
-   per-item baseline. Only meaningful on a runner with 4+ cores — the
-   CI multi-core leg passes 1.0; the 1-core smoke leg omits the flag. *)
-let min_swarm_speedup =
-  let rec scan = function
-    | "--min-swarm-j4-speedup" :: v :: _ -> float_of_string_opt v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan argv
-
 (* Multi-shot service floor: fail when any multishot arm's committed
    transactions per wall-clock second fall below this. *)
 let min_multishot_floor =
@@ -384,31 +370,18 @@ let time_best_each ~reps subjects run =
    inbac, crash class, n=3, f=1, jobs=1 — small enough for CI, large
    enough (thousands of states) that fingerprinting cost dominates. *)
 let mc_pinned ~fp () =
-  Mc_run.run ~fp ~jobs:1 ~naive:false ~protocol:"inbac" ~n:3 ~f:1
-    ~klass:Mc_run.Crash ()
+  Mc_run.run ~fp ~jobs:1 ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Crash ()
 
-(* Frontier-scheduling matrix on the same pinned configuration: the
-   legacy shared-cursor baseline against work-stealing and the shared
-   (globally-deduplicating) visited table, at jobs=1 and jobs=4. The
-   per-item rows keep identical counters by construction; the shared
-   rows explore strictly fewer states (global dedup), which is where the
-   states/sec and wall-clock win comes from even on few cores. *)
+(* Frontier scaling on the same pinned configuration: the per-item
+   frontier items fanned out over the batch cursor at jobs=1 and jobs=4.
+   Both arms print identical counters by construction; only the wall
+   time differs. *)
 let mc_frontier_configs =
-  [
-    (* the pre-existing arms pin [swarm = Some false] so auto-swarm (which
-       would otherwise kick in for shared visited at jobs >= 4) cannot
-       silently change what they measure across releases *)
-    ("per_item_cursor_j1", Mc_limits.Per_item, false, 1, Some false);
-    ("per_item_stealing_j4", Mc_limits.Per_item, true, 4, Some false);
-    ("shared_stealing_j1", Mc_limits.Shared, true, 1, Some false);
-    ("shared_stealing_j4", Mc_limits.Shared, true, 4, Some false);
-    ("swarm_shared_j1", Mc_limits.Shared, false, 1, Some true);
-    ("swarm_shared_j4", Mc_limits.Shared, false, 4, Some true);
-  ]
+  [ ("per_item_cursor_j1", 1); ("per_item_cursor_j4", 4) ]
 
-let mc_frontier_run (_, visited, stealing, jobs, swarm) =
-  Mc_run.run ~fp:Mc_limits.Fp_hashed ~jobs ~naive:false ~visited ~stealing
-    ?swarm ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Crash ()
+let mc_frontier_run (_, jobs) =
+  Mc_run.run ~fp:Mc_limits.Fp_hashed ~jobs ~protocol:"inbac" ~n:3 ~f:1
+    ~klass:Mc_run.Crash ()
 
 (* Snapshot-pool A/B on the pinned configuration. Timing is interleaved
    ([time_best_each]) so frequency drift cannot bias one arm; allocation
@@ -417,8 +390,8 @@ let mc_frontier_run (_, visited, stealing, jobs, swarm) =
    deltas are exact, and allocation is deterministic so one run is
    enough. *)
 let mc_pool_run pool =
-  Mc_run.run ~fp:Mc_limits.Fp_hashed ~pool ~jobs:1 ~naive:false
-    ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Crash ()
+  Mc_run.run ~fp:Mc_limits.Fp_hashed ~pool ~jobs:1 ~protocol:"inbac" ~n:3
+    ~f:1 ~klass:Mc_run.Crash ()
 
 (* Second pinned configuration: the network class, where the enumerate
    path (overtake bookkeeping, late-budget pruning, snapshot traffic) is
@@ -433,7 +406,7 @@ let network_budgets =
 
 let mc_network_run pool =
   Mc_run.run ~budgets:network_budgets ~fp:Mc_limits.Fp_hashed ~pool ~jobs:1
-    ~naive:false ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Network ()
+    ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Network ()
 
 (* Symmetry-reduction arms: inbac n=4 f=1, symmetry off vs on, per-item
    jobs=1 so every state counter is deterministic and the off arm is
@@ -469,7 +442,7 @@ let symmetry_arms =
   ]
 
 let symmetry_run ~symmetry (_, n, klass, budgets) =
-  Mc_run.run ?budgets ~fp:Mc_limits.Fp_hashed ~symmetry ~jobs:1 ~naive:false
+  Mc_run.run ?budgets ~fp:Mc_limits.Fp_hashed ~symmetry ~jobs:1
     ~protocol:"inbac" ~n ~f:1 ~klass ()
 
 let gc_measure run =
@@ -563,7 +536,7 @@ let run_json path =
   in
   let frontier =
     List.map
-      (fun ((name, _, _, _, _), outcome, secs) ->
+      (fun ((name, _), outcome, secs) ->
         let c = outcome.Mc_run.counters in
         ( name,
           secs,
@@ -578,23 +551,8 @@ let run_json path =
     in
     s
   in
-  let stealing_speedup =
-    frontier_secs "per_item_cursor_j1" /. frontier_secs "per_item_stealing_j4"
-  in
-  let shared_speedup =
-    frontier_secs "per_item_cursor_j1" /. frontier_secs "shared_stealing_j4"
-  in
-  let swarm_speedup =
-    frontier_secs "per_item_cursor_j1" /. frontier_secs "swarm_shared_j4"
-  in
-  let frontier_sps name =
-    let _, _, _, _, sps =
-      List.find (fun (n, _, _, _, _) -> n = name) frontier
-    in
-    sps
-  in
-  let swarm_sps_ratio =
-    frontier_sps "swarm_shared_j4" /. frontier_sps "per_item_cursor_j1"
+  let speedup_j4 =
+    frontier_secs "per_item_cursor_j1" /. frontier_secs "per_item_cursor_j4"
   in
   let pool_times =
     List.map
@@ -764,7 +722,7 @@ let run_json path =
     Buffer.add_string buf "  }"
   in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"actable-bench/8\",\n";
+  Buffer.add_string buf "  \"schema\": \"actable-bench/9\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"pairs\": [%s],\n"
        (String.concat ", "
@@ -809,14 +767,7 @@ let run_json path =
            name secs states schedules sps))
     frontier;
   Buffer.add_string buf
-    (Printf.sprintf "      \"stealing_speedup_j4\": %.2f,\n" stealing_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"shared_speedup_j4\": %.2f,\n" shared_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"swarm_speedup_j4\": %.2f,\n" swarm_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "      \"swarm_states_per_sec_ratio_j4\": %.2f\n"
-       swarm_sps_ratio);
+    (Printf.sprintf "      \"speedup_j4\": %.2f\n" speedup_j4);
   Buffer.add_string buf "    },\n";
   let gc_block rows speedup ratio =
     Buffer.add_string buf "    \"gc\": {\n";
@@ -955,14 +906,7 @@ let run_json path =
     "fingerprint per call: hashed %.0fns, marshal %.0fns (%.1fx)\n"
     fp_hashed_ns fp_marshal_ns
     (fp_marshal_ns /. fp_hashed_ns);
-  Printf.printf
-    "frontier: stealing j4 %.2fx, stealing+shared-visited j4 %.2fx vs \
-     cursor j1\n"
-    stealing_speedup shared_speedup;
-  Printf.printf
-    "frontier: swarm+shared-visited j4 %.2fx wall vs sequential cursor j1 \
-     (%.2fx states/sec)\n"
-    swarm_speedup swarm_sps_ratio;
+  Printf.printf "frontier: cursor j4 %.2fx wall vs cursor j1\n" speedup_j4;
   if
     p_states <> u_states
     || fst (pool_arm true) <> fst (pool_arm false)
@@ -1146,14 +1090,6 @@ let run_json path =
           end)
         multishot
   | None -> ());
-  (match min_swarm_speedup with
-  | Some floor when swarm_speedup < floor ->
-      Printf.eprintf
-        "bench: swarm j4 speedup %.2fx below the multi-core floor %.2fx \
-         (vs sequential cursor j1)\n"
-        swarm_speedup floor;
-      exit 1
-  | _ -> ());
   match min_mc_floor with
   | Some floor when per_sec_of "hashed" < floor ->
       Printf.eprintf

@@ -155,8 +155,8 @@ let jobs_arg =
   let doc =
     "Number of domains for the parallel batch runner (default: the \
      recommended domain count, capped by the ACTABLE_JOBS environment \
-     variable when set). Results are identical whatever the value in the \
-     deterministic modes; use 1 to force sequential execution."
+     variable when set). Results are identical whatever the value; use 1 \
+     to force sequential execution."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -795,68 +795,7 @@ let symmetry_arg =
     & opt (enum [ ("on", true); ("off", false) ]) Mc_limits.default_symmetry
     & info [ "symmetry" ] ~docv:"on|off" ~doc)
 
-let swarm_open_depth_arg =
-  let doc =
-    "Swarm mode: how many tree levels a walker explores through \
-     already-claimed states before cutting (default 6, clamped to \
-     0..32). Deeper open levels duplicate more work near the root but \
-     seed walkers with more diverse subtrees."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "swarm-open-depth" ] ~docv:"D" ~doc)
-
-let shared_visited_arg =
-  let doc =
-    "Dedup states globally per vote-set group (a digest-range-sharded \
-     visited table shared by all frontier items) instead of per frontier \
-     item: fewer states explored, higher states/sec, but the state \
-     counters become dependent on --jobs timing. Verdicts are unaffected. \
-     The default per-item mode keeps every counter bit-identical across \
-     --jobs."
-  in
-  Arg.(value & flag & info [ "shared-visited" ] ~doc)
-
-let swarm_arg =
-  let doc =
-    "Explore with independent randomized-order DFS walks, one per domain, \
-     coupled only through a shared visited table (implies \
-     --shared-visited): no frontier handoff, no steal traffic. The mode \
-     that actually scales with domains; counters are jobs-dependent like \
-     any shared-table mode, verdicts are unaffected. Without this flag \
-     (or --no-swarm) swarm turns on automatically when --shared-visited \
-     runs at 4 or more jobs."
-  in
-  Arg.(value & flag & info [ "swarm" ] ~doc)
-
-let no_swarm_arg =
-  let doc =
-    "Never use swarm exploration, even with --shared-visited at high \
-     --jobs; keep the frontier decomposition."
-  in
-  Arg.(value & flag & info [ "no-swarm" ] ~doc)
-
 let mc_cmd =
-  let no_stealing_arg =
-    Arg.(
-      value & flag
-      & info [ "no-stealing" ]
-          ~doc:
-            "Schedule frontier items with the legacy shared atomic cursor \
-             instead of per-domain work-stealing deques. Counters are \
-             identical either way in per-item mode; this is the control \
-             knob the scheduling benchmarks flip.")
-  in
-  let no_naive_arg =
-    Arg.(
-      value & flag
-      & info [ "no-naive" ]
-          ~doc:
-            "Skip the naive-enumeration pass that measures the DPOR + \
-             dedup pruning ratio (the pass is skipped anyway when a \
-             violation is found).")
-  in
   let stats_arg =
     Arg.(
       value & flag
@@ -866,9 +805,8 @@ let mc_cmd =
              the wall time of the exploration) and the peak visited-table \
              occupancy of any frontier item.")
   in
-  let action protocol n f klass expect budgets fp pool symmetry
-      swarm_open_depth stats consensus vote0 no_naive msc jobs shared
-      no_stealing swarm no_swarm =
+  let action protocol n f klass expect budgets fp pool symmetry stats
+      consensus vote0 msc jobs =
     let vote_sets =
       match vote0 with
       | [] -> None
@@ -879,19 +817,11 @@ let mc_cmd =
             ranks;
           Some [ votes ]
     in
-    let visited =
-      if shared || swarm then Mc_limits.Shared else Mc_limits.default_visited
-    in
-    let swarm_opt =
-      if swarm then Some true else if no_swarm then Some false else None
-    in
     let gc0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     let outcome =
-      Mc_run.run ~consensus ?vote_sets ~budgets ~fp ~pool ~symmetry
-        ?swarm_open_depth ?jobs ~naive:(not no_naive) ~visited
-        ~stealing:(not no_stealing) ?swarm:swarm_opt ~protocol ~n ~f ~klass
-        ()
+      Mc_run.run ~consensus ?vote_sets ~budgets ~fp ~pool ~symmetry ?jobs
+        ~protocol ~n ~f ~klass ()
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     let gc1 = Gc.quick_stat () in
@@ -907,13 +837,6 @@ let mc_cmd =
         (per_sec c.Mc_limits.states)
         (per_sec c.Mc_limits.schedules)
         c.Mc_limits.peak_visited;
-      (match outcome.Mc_run.shard_load with
-      | Some (occ, bk) ->
-          Format.printf
-            "stats: shared-table occupancy %d/%d buckets (load %.2f)@." occ
-            bk
-            (float_of_int occ /. float_of_int (max bk 1))
-      | None -> ());
       if c.Mc_limits.canon_calls > 0 then begin
         (* ns/call of the canonicalization itself, measured on a probe
            context (mid-exploration state, preparation outside the
@@ -974,10 +897,8 @@ let mc_cmd =
       const action $ protocol_arg $ mc_n_arg $ mc_f_arg $ class_arg
       $ expect_arg
       $ budgets_term ~default_states:400_000
-      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ swarm_open_depth_arg
-      $ stats_arg $ consensus_arg $ vote0_arg $ no_naive_arg $ msc_arg
-      $ jobs_arg $ shared_visited_arg $ no_stealing_arg $ swarm_arg
-      $ no_swarm_arg)
+      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ stats_arg $ consensus_arg
+      $ vote0_arg $ msc_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "mc"
@@ -988,13 +909,9 @@ let mc_cmd =
     term
 
 let mctable_cmd =
-  let action n f budgets fp pool symmetry jobs shared =
-    let visited =
-      if shared then Mc_limits.Shared else Mc_limits.default_visited
-    in
+  let action n f budgets fp pool symmetry jobs =
     let text, ok =
-      Table_mc.render_checked ~budgets ~fp ~pool ~symmetry ?jobs ~visited ~n
-        ~f ()
+      Table_mc.render_checked ~budgets ~fp ~pool ~symmetry ?jobs ~n ~f ()
     in
     print_string text;
     gate "mctable" ok
@@ -1003,8 +920,7 @@ let mctable_cmd =
     Term.(
       const action $ mc_n_arg $ mc_f_arg
       $ budgets_term ~default_states:120_000
-      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ jobs_arg
-      $ shared_visited_arg)
+      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "mctable"

@@ -97,9 +97,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            only: the marshal backend hashes raw bytes in which pids
            escape the renaming, so it always runs with the trivial
            group. *)
-    open_depth : int;
-        (* swarm mode: tree levels over which walkers descend through
-           already-claimed states (see [dfs_dpor]'s [?open_depth]) *)
   }
 
   (* ---- pending events -------------------------------------------- *)
@@ -1382,64 +1379,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   exception Found of Mc_replay.property * string * step list
   exception Out_of_states
 
-  (* The DFS is generic over its visited table so the same search serves
-     both dedup scopes: a plain per-item [Hashtbl] (single-domain, the
-     deterministic default) and a {!Mc_shards} table shared by every
-     item of one vote-set group. [vt_add] is called only when [vt_find]
-     saw no binding; its boolean reports whether this caller actually
-     created the binding — under a shared table a racing domain may have
-     inserted the state in between, and exactly one of the racers gets
-     [true] and counts the state. *)
-  type vtable = {
-    vt_find : Fingerprint.digest -> key list option;
-    vt_add : Fingerprint.digest -> key list -> bool;
-    vt_store : Fingerprint.digest -> key list -> unit;
-    vt_size : unit -> int;
-  }
-
-  let vtable_of_tbl (tbl : (Fingerprint.digest, key list) Hashtbl.t) =
-    {
-      vt_find = Hashtbl.find_opt tbl;
-      (* single-owner table: a miss in [vt_find] guarantees freshness *)
-      vt_add =
-        (fun fp sleep ->
-          Hashtbl.replace tbl fp sleep;
-          true);
-      vt_store = Hashtbl.replace tbl;
-      vt_size = (fun () -> Hashtbl.length tbl);
-    }
-
-  let vtable_of_shards (sh : key list Mc_shards.t) =
-    {
-      vt_find = Mc_shards.find_opt sh;
-      (* single CAS-probe: no lock anywhere, and no second scan after
-         the [vt_find] miss that guards this call. If a racing domain
-         inserted in between, its stored sleep set stands (keeping
-         either racer's set is sound — both were legitimate to store) *)
-      vt_add = (fun fp sleep -> Mc_shards.find_or_insert sh fp sleep = None);
-      (* losing a racing sleep-set narrowing is sound: a larger stored
-         set only makes the subset cut less likely *)
-      vt_store = Mc_shards.update sh;
-      vt_size = (fun () -> Mc_shards.size sh);
-    }
-
-  (* [?order] permutes each node's candidate list before descent — the
-     swarm mode's randomized walk order; sleep-set DPOR is sound under
-     any exploration order of the candidate set, and the identity order
-     (the default) keeps the deterministic modes byte-stable.
-
-     [?open_depth] (default 0) disables the visited cut for the first
-     [open_depth] tree levels: a swarm walker starting at the root would
-     otherwise die instantly once another walker has claimed the root
-     state (the claimer explores the children; a fresh walker has no
-     parent loop to fall back to). Within the open region a walker
-     descends through already-claimed states — without recounting or
-     re-inserting them — until it finds an unclaimed subtree; the
-     duplicated shallow transitions are bounded by the branching factor
-     to the [open_depth]-th power and are what lets independent walks
-     partition the deep space through the shared table alone. *)
-  let dfs_dpor ?(order = Fun.id) ?(open_depth = 0) ctx
-      (counters : Mc_limits.counters) vt =
+  (* Sleep-set DPOR over one frontier item. [visited] is the item's own
+     table: it maps every stored state to the (canonical) sleep set it was
+     explored under, and a revisit is cut only when that stored set is a
+     subset of the current one. *)
+  let dfs_dpor ctx (counters : Mc_limits.counters)
+      (visited : (Fingerprint.digest, key list) Hashtbl.t) =
     let budgets = ctx.cfg.budgets in
     let sym_on = Array.length ctx.sym_perms > 0 in
     let rec go ~sleep ~depth path_rev =
@@ -1454,16 +1399,15 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
          are translated the same way for every table operation; the
          candidate loop below keeps using the concrete [sleep] *)
       let csleep = if sym_on then xlate_keys ctx sleep else sleep in
-      let prior = vt.vt_find fp in
+      let prior = Hashtbl.find_opt visited fp in
       match prior with
-      | Some stored when depth >= open_depth && k_subset stored csleep ->
+      | Some stored when k_subset stored csleep ->
           counters.dedup_hits <- counters.dedup_hits + 1;
           counters.schedules <- counters.schedules + 1
       | _ -> (
           match
-            order
-              (if sym_on then twin_prune ctx counters sleep (enumerate ctx)
-               else enumerate ctx)
+            if sym_on then twin_prune ctx counters sleep (enumerate ctx)
+            else enumerate ctx
           with
           | [] ->
               counters.schedules <- counters.schedules + 1;
@@ -1484,14 +1428,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               else begin
                 (match prior with
                 | None ->
-                    if vt.vt_size () >= budgets.Mc_limits.max_states then
-                      raise Out_of_states;
-                    if vt.vt_add fp csleep then begin
-                      counters.states <- counters.states + 1;
-                      counters.peak_visited <-
-                        max counters.peak_visited (vt.vt_size ())
-                    end
-                | Some stored -> vt.vt_store fp (k_inter stored csleep));
+                    if Hashtbl.length visited >= budgets.Mc_limits.max_states
+                    then raise Out_of_states;
+                    Hashtbl.replace visited fp csleep;
+                    counters.states <- counters.states + 1;
+                    counters.peak_visited <-
+                      max counters.peak_visited (Hashtbl.length visited)
+                | Some stored ->
+                    Hashtbl.replace visited fp (k_inter stored csleep));
                 let snap = save ctx in
                 let sleep_now = ref sleep in
                 List.iter
@@ -1522,50 +1466,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
     go ~sleep:[] ~depth:0 []
 
-  (* The naive schedule count: number of maximal paths an enumerator with
-     neither sleep sets nor deduplication would walk, computed exactly by
-     memoized path-counting over the deduplicated state graph (identical
-     states have identical subtree path counts). *)
-  let dfs_count ctx (counters : Mc_limits.counters) visited =
-    let budgets = ctx.cfg.budgets in
-    let rec go () =
-      let fp = fingerprint ctx in
-      match Hashtbl.find_opt visited fp with
-      | Some x ->
-          counters.dedup_hits <- counters.dedup_hits + 1;
-          x
-      | None -> (
-          match enumerate ctx with
-          | [] -> 1.0
-          | cands ->
-              if Hashtbl.length visited >= budgets.Mc_limits.max_states then
-                raise Out_of_states;
-              counters.states <- counters.states + 1;
-              let snap = save ctx in
-              let total =
-                List.fold_left
-                  (fun acc cand ->
-                    restore ctx snap;
-                    counters.transitions <- counters.transitions + 1;
-                    match exec_step ctx cand with
-                    | Some _ -> acc +. 1.0
-                    | None -> acc +. go ())
-                  0.0 cands
-              in
-              release ctx snap;
-              Hashtbl.replace visited fp total;
-              total)
-    in
-    go ()
-
   (* ---- frontier ---------------------------------------------------- *)
 
   (* A fixed, jobs-independent work split: expand breadth-first until the
      level is wide enough, then let [Batch] spread the items over domains.
      Items are schedule prefixes; each worker replays its prefix on a
-     fresh context, so nothing mutable crosses domain boundaries. In the
-     default per-item mode every item is explored with its own visited
-     table, which keeps all counters bit-identical whatever [--jobs] is.
+     fresh context, so nothing mutable crosses domain boundaries. Every
+     item is explored with its own visited table, which keeps all
+     counters bit-identical whatever [--jobs] is.
 
      Progress is detected structurally — did any prefix actually extend
      this round? — not by comparing level lengths: "one prefix split
@@ -1620,7 +1528,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   (* Frontier-item orbit dedup (symmetry mode): two prefixes landing on
      orbit-equivalent states explore permutation-isomorphic subtrees, and
-     in the per-item visited discipline each would pay for its subtree in
+     with per-item visited tables each would pay for its subtree in
      full. Keeping one representative per canonical root keeps coverage —
      any violation below a dropped item has a permutation-image below the
      kept one — while cutting that duplication. Prefixes that already
@@ -1903,65 +1811,22 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             candidates and orbit-duplicate frontier items. Verdicts are
             unaffected; the states/transitions/schedules counters shrink
             by the orbit collapse. Ignored (off) under [Fp_marshal]. *)
-    swarm_open_depth : int option;
-        (** tree levels a swarm walker explores through already-claimed
-            states before the visited cut engages ([None]:
-            {!default_swarm_open_depth}; clamped by
-            {!clamp_open_depth}) *)
     jobs : int option;
-    naive : bool;  (** also compute the naive schedule count (2nd pass) *)
-    visited : Mc_limits.visited_mode;
-    stealing : bool;
-        (** schedule frontier items over work-stealing deques instead of
-            the shared cursor; per-item counters are identical either
-            way (stealing without [split] never decomposes an item) *)
-    swarm : bool option;
-        (** [Some true]: explore with independent randomized-order DFS
-            walks, one per domain, coupled only through a shared visited
-            table (no frontier handoff, no steal traffic); implies the
-            shared table whatever [visited] says. [Some false]: never.
-            [None] (auto): swarm iff [visited = Shared] and the
-            effective job count is at least {!swarm_auto_jobs} — at that
-            scale the walks beat frontier handoff (see DESIGN.md).
-            Walk orders are seeded deterministically from {!Rng}, but
-            counters are jobs- and timing-dependent like any
-            shared-table mode; verdicts are unaffected. *)
   }
 
   type result = {
     counters : Mc_limits.counters;
-    naive : float option;
-    naive_partial : bool;
     violation : Mc_replay.violation option;
-    shard_load : (int * int) option;
-        (* (occupied, buckets) of the fullest shared visited table, when
-           a shared-table mode ran — the occupancy [mc --stats] reports;
-           [None] in per-item mode *)
   }
 
   type item_result = {
     ir_counters : Mc_limits.counters;
     ir_violation : (Mc_replay.property * string * step list) option;
-    ir_naive : float;
-    ir_naive_partial : bool;
   }
 
   (* A unit of frontier work: a schedule prefix to explore under some
-     vote assignment. [wi_shared] is the vote-set group's shared visited
-     table in [Shared] mode ([None] in the deterministic per-item mode):
-     pre-proposal fingerprints do not cover the votes array, so sharing
-     one table {e across} vote sets would conflate distinct states — the
-     table's scope is exactly one group. *)
-  type work_item = {
-    wi_cfg : config;
-    wi_prefix : step list;
-    wi_shared : key list Mc_shards.t option;
-    wi_seed : int option;
-        (* [Some seed]: a swarm walker — explore from the (empty-prefix)
-           root in the randomized order drawn from [Rng.create seed],
-           with the visited cut held open for the first
-           [swarm_open_depth] levels. [None]: a plain frontier item. *)
-  }
+     vote assignment, with a visited table of its own. *)
+  type work_item = { wi_cfg : config; wi_prefix : step list }
 
   (* Preallocating the visited table toward its budget avoids the
      rehash cascade on the way up (growing from 4096 to the default
@@ -1970,19 +1835,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
      never fill — beyond it one or two final rehashes are noise. *)
   let fresh_visited (cfg : config) : (Fingerprint.digest, 'a) Hashtbl.t =
     Hashtbl.create (min cfg.budgets.Mc_limits.max_states 65_536)
-
-  (* How many tree levels a swarm walker keeps exploring through states
-     another walker already claimed (see [dfs_dpor]'s [?open_depth]).
-     Deep enough that walkers wade past the narrow shallow region (the
-     root has a single [S_proposals] child in the crash-free classes)
-     and diverge into disjoint deep subtrees; shallow enough that the
-     duplicated transitions stay a small fraction of the space. *)
-  let default_swarm_open_depth = 6
-
-  (* Useful open depths end well before the frontier/split machinery's
-     own depth bounds; past 32 the duplicated shallow transitions could
-     only explode (branching^depth), so the CLI knob is clamped there. *)
-  let clamp_open_depth d = max 0 (min d 32)
 
   let explore_item wi =
     let counters = Mc_limits.fresh_counters () in
@@ -1993,178 +1845,36 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        | Some (prop, detail) ->
            counters.Mc_limits.schedules <- 1;
            violation := Some (prop, detail, wi.wi_prefix)
-       | None ->
-           let vt =
-             match wi.wi_shared with
-             | Some sh -> vtable_of_shards sh
-             | None -> vtable_of_tbl (fresh_visited wi.wi_cfg)
-           in
-           (match wi.wi_seed with
-           | None -> dfs_dpor ctx counters vt
-           | Some seed ->
-               let rng = Rng.create seed in
-               dfs_dpor
-                 ~order:(fun cands -> Rng.shuffle rng cands)
-                 ~open_depth:wi.wi_cfg.open_depth ctx counters vt)
+       | None -> dfs_dpor ctx counters (fresh_visited wi.wi_cfg)
      with
     | Found (prop, detail, sub) ->
         violation := Some (prop, detail, wi.wi_prefix @ sub)
     | Out_of_states -> counters.Mc_limits.budget_hit <- true);
-    { ir_counters = counters; ir_violation = !violation; ir_naive = 0.0;
-      ir_naive_partial = false }
-
-  (* On-demand re-splitting for the work-stealing scheduler: a claimed
-     item whose prefix is still shallow is replaced by one child item
-     per enabled candidate (the same decomposition [frontier] applies
-     statically). Splitting forgets the sleep-set context accumulated
-     between siblings, so the children cover a superset of the parent's
-     schedules — sound, merely less pruned; that (and shared-table
-     dedup races) is why split-mode counters are jobs-dependent, and
-     why the deterministic default never splits. *)
-  let max_split_depth = 12
-
-  let split_item wi =
-    if List.length wi.wi_prefix >= max_split_depth then None
-    else
-      let ctx = create_ctx wi.wi_cfg in
-      match replay_prefix ctx wi.wi_prefix with
-      | Some _ -> None (* prefix already violates: run it, don't split *)
-      | None -> (
-          match enumerate ctx with
-          | [] | [ _ ] -> None
-          | cands ->
-              Some
-                (List.map
-                   (fun c -> { wi with wi_prefix = wi.wi_prefix @ [ c ] })
-                   cands))
-
-  (* Fold the results of one origin item's pieces. Counter addition
-     commutes (see [Mc_limits.add_counters]); the surviving violation is
-     whichever piece's the fold meets first, which — like any parallel
-     witness search — depends on scheduling. *)
-  let merge_ir a b =
-    Mc_limits.add_counters a.ir_counters b.ir_counters;
-    {
-      ir_counters = a.ir_counters;
-      ir_violation =
-        (match a.ir_violation with Some _ -> a.ir_violation | None -> b.ir_violation);
-      ir_naive = a.ir_naive +. b.ir_naive;
-      ir_naive_partial = a.ir_naive_partial || b.ir_naive_partial;
-    }
-
-  let count_item wi =
-    try
-      let ctx = create_ctx wi.wi_cfg in
-      match replay_prefix ctx wi.wi_prefix with
-      | Some _ -> (1.0, false)
-      | None ->
-          ( dfs_count ctx
-              (Mc_limits.fresh_counters ())
-              (fresh_visited wi.wi_cfg),
-            false )
-    with Out_of_states -> (0.0, true)
-
-  (* Effective job count at or above which [swarm = None] resolves to
-     swarm exploration (shared-visited mode only): below it the frontier
-     machinery wins or ties; from four domains up the handoff-free walks
-     beat it (see DESIGN.md "Swarm exploration"). *)
-  let swarm_auto_jobs = 4
-
-  (* Walker-seed derivation: one deterministic base stream, one draw per
-     walker in construction order. Runs with the same jobs count get the
-     same walk orders (the *counters* still depend on timing — races on
-     the shared table — but the orders each walker attempts do not). *)
-  let swarm_seed_base = 0x51ee7
+    { ir_counters = counters; ir_violation = !violation }
 
   let run (p : params) =
-    let jobs_eff =
-      match p.jobs with Some j -> max 1 j | None -> Batch.default_jobs ()
-    in
-    let swarm_on =
-      match p.swarm with
-      | Some b -> b
-      | None -> p.visited = Mc_limits.Shared && jobs_eff >= swarm_auto_jobs
-    in
-    let mk_cfg votes =
-      {
-        n = p.n;
-        f = p.f;
-        u = p.u;
-        votes;
-        klass = p.klass;
-        budgets = p.budgets;
-        fp = p.fp;
-        pool = p.pool;
-        symmetry = p.symmetry;
-        open_depth =
-          (match p.swarm_open_depth with
-          | Some d -> clamp_open_depth d
-          | None -> default_swarm_open_depth);
-      }
-    in
-    let tables = ref [] in
-    let shared_table () =
-      (* sized from the full budget: the index space is fixed for the
-         table's lifetime (segments commit lazily), so the capacity hint
-         is what keeps chains short near the budget ceiling *)
-      let t = Mc_shards.create ~capacity:p.budgets.Mc_limits.max_states () in
-      tables := t :: !tables;
-      t
-    in
     let items =
-      if swarm_on then
-        (* One walker per domain per vote set, all exploring the full
-           space from the root: work partitions dynamically through the
-           shared table (a state's inserter owns its subtree; later
-           walkers cut there), and the randomized orders make the
-           walkers diverge instead of racing down the same path. *)
-        let seeds = Rng.create swarm_seed_base in
-        List.concat_map
-          (fun votes ->
-            let cfg = mk_cfg votes in
-            let sh = Some (shared_table ()) in
-            List.init (max 1 jobs_eff) (fun _ ->
-                {
-                  wi_cfg = cfg;
-                  wi_prefix = [];
-                  wi_shared = sh;
-                  wi_seed = Some (Int64.to_int (Rng.next64 seeds) land max_int);
-                }))
-          p.vote_sets
-      else
-        List.concat_map
-          (fun votes ->
-            let cfg = mk_cfg votes in
-            let shared =
-              match p.visited with
-              | Mc_limits.Per_item -> None
-              | Mc_limits.Shared -> Some (shared_table ())
-            in
-            List.map
-              (fun prefix ->
-                {
-                  wi_cfg = cfg;
-                  wi_prefix = prefix;
-                  wi_shared = shared;
-                  wi_seed = None;
-                })
-              (dedup_frontier cfg (frontier cfg)))
-          p.vote_sets
+      List.concat_map
+        (fun votes ->
+          let cfg =
+            {
+              n = p.n;
+              f = p.f;
+              u = p.u;
+              votes;
+              klass = p.klass;
+              budgets = p.budgets;
+              fp = p.fp;
+              pool = p.pool;
+              symmetry = p.symmetry;
+            }
+          in
+          List.map
+            (fun prefix -> { wi_cfg = cfg; wi_prefix = prefix })
+            (dedup_frontier cfg (frontier cfg)))
+        p.vote_sets
     in
-    let results =
-      if swarm_on then
-        (* walkers are independent and equally "fat": the shared cursor
-           maps one walker to one domain with no handoff at all *)
-        Batch.run ?jobs:p.jobs explore_item items
-      else
-        match (p.visited, p.stealing) with
-        | Mc_limits.Shared, true ->
-            Batch.run_stealing ?jobs:p.jobs ~split:split_item ~merge:merge_ir
-              explore_item items
-        | Mc_limits.Per_item, true ->
-            Batch.run_stealing ?jobs:p.jobs ~merge:merge_ir explore_item items
-        | _, false -> Batch.run ?jobs:p.jobs explore_item items
-    in
+    let results = Batch.run ?jobs:p.jobs explore_item items in
     let counters = Mc_limits.fresh_counters () in
     List.iter (fun r -> Mc_limits.add_counters counters r.ir_counters) results;
     let violation =
@@ -2177,48 +1887,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             r.ir_violation)
         (List.combine items results)
     in
-    (* the naive count only rates the pruning of a completed exploration;
-       a witness search that stops at a violation skips the second pass *)
-    let naive, naive_partial =
-      if p.naive && violation = None then begin
-        (* the naive count enumerates each vote set's space exactly once,
-           so it always runs over the static, undeduplicated frontier
-           decomposition: swarm items (one per walker) would multi-count
-           it, and symmetry-deduplicated items would undercount it — the
-           naive number rates the space, not the reduction *)
-        let count_items =
-          if swarm_on || (p.symmetry && p.fp = Mc_limits.Fp_hashed) then
-            List.concat_map
-              (fun votes ->
-                let cfg = mk_cfg votes in
-                List.map
-                  (fun prefix ->
-                    {
-                      wi_cfg = cfg;
-                      wi_prefix = prefix;
-                      wi_shared = None;
-                      wi_seed = None;
-                    })
-                  (frontier cfg))
-              p.vote_sets
-          else items
-        in
-        let counts = Batch.run ?jobs:p.jobs count_item count_items in
-        ( Some (List.fold_left (fun acc (c, _) -> acc +. c) 0.0 counts),
-          List.exists snd counts )
-      end
-      else (None, false)
-    in
-    let shard_load =
-      List.fold_left
-        (fun acc t ->
-          let occ = Mc_shards.size t in
-          match acc with
-          | Some (o, _) when o >= occ -> acc
-          | _ -> Some (occ, Mc_shards.buckets t))
-        None !tables
-    in
-    { counters; naive; naive_partial; violation; shard_load }
+    { counters; violation }
 
   (* ---- the canonical synchronous schedule --------------------------- *)
 
@@ -2244,7 +1913,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         fp = Mc_limits.default_fp;
         pool = true;
         symmetry = false;
-        open_depth = default_swarm_open_depth;
       }
     in
     let ctx = create_ctx cfg in

@@ -26,19 +26,6 @@ let fp_backend_to_string = function
    which pids escape), so callers force it off there. *)
 let default_symmetry = true
 
-type visited_mode = Per_item | Shared
-
-let default_visited = Per_item
-
-let visited_mode_of_string = function
-  | "per-item" -> Some Per_item
-  | "shared" -> Some Shared
-  | _ -> None
-
-let visited_mode_to_string = function
-  | Per_item -> "per-item"
-  | Shared -> "shared"
-
 type counters = {
   mutable states : int;
   mutable transitions : int;

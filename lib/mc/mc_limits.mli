@@ -3,9 +3,8 @@
 type budgets = {
   max_depth : int;  (** schedule steps per path before a depth cut *)
   max_states : int;
-      (** distinct fingerprints stored per visited table — per frontier
-          item in {!Per_item} mode, per vote-set group in {!Shared}
-          mode *)
+      (** distinct fingerprints stored per visited table (every frontier
+          item has its own) *)
   horizon : Sim_time.t;
       (** timers armed beyond this instant never fire: bounds the
           otherwise-unbounded consensus retry cascade *)
@@ -37,25 +36,6 @@ val default_symmetry : bool
     default. Only meaningful with {!Fp_hashed}: the marshal backend
     hashes raw bytes in which pids escape the renaming, so callers force
     symmetry off there. *)
-
-type visited_mode =
-  | Per_item
-      (** every frontier item dedups within its own visited table: a
-          state reachable from several prefixes is explored once per
-          prefix, [max_states] bounds each table separately, and the
-          counters are bit-identical across [--jobs] (the default, and
-          what [mctable] prints) *)
-  | Shared
-      (** all frontier items of one vote-set group dedup against a
-          single {!Mc_shards.t}: shared states are explored once
-          globally, [max_states] bounds the group's table, and the
-          (smaller, faster-to-reach) counters depend on scheduling
-          timing — reported only under the explicit [--shared-visited]
-          flag *)
-
-val default_visited : visited_mode
-val visited_mode_of_string : string -> visited_mode option
-val visited_mode_to_string : visited_mode -> string
 
 type counters = {
   mutable states : int;  (** distinct state fingerprints stored *)

@@ -34,23 +34,16 @@ type outcome = {
   n : int;
   f : int;
   counters : Mc_limits.counters;
-  visited : Mc_limits.visited_mode;
-  naive : float option;
-  naive_partial : bool;
   violation : Mc_replay.violation option;
   replay_verified : bool option;
       (** engine confirmation of the counterexample; [None] when clean *)
-  shard_load : (int * int) option;
-      (** (occupied, buckets) of the fullest shared visited table, when
-          one ran; [None] in per-item mode *)
 }
 
 let clean o = o.violation = None
 
 let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
-    ?(fp = Mc_limits.default_fp) ?(pool = true) ?symmetry ?swarm_open_depth
-    ?jobs ?(naive = false) ?(visited = Mc_limits.default_visited)
-    ?(stealing = true) ?swarm ~protocol ~n ~f ~klass () =
+    ?(fp = Mc_limits.default_fp) ?(pool = true) ?symmetry ?jobs ~protocol ~n
+    ~f ~klass () =
   let reg = Registry.find_exn protocol in
   let module P = (val reg.Registry.proto) in
   let module C =
@@ -63,9 +56,6 @@ let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
   let vote_sets =
     Option.value vote_sets ~default:(default_vote_sets ~n klass)
   in
-  (* forced swarm dedups through the shared table whatever the caller's
-     [?visited] said; reporting [Shared] keeps the counter caveat honest *)
-  let visited = if swarm = Some true then Mc_limits.Shared else visited in
   (* symmetry canonicalization needs the renaming-aware hashed backend;
      under marshal it silently stays off rather than failing the run *)
   let symmetry =
@@ -87,12 +77,7 @@ let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
         fp;
         pool;
         symmetry;
-        swarm_open_depth;
         jobs;
-        naive;
-        visited;
-        stealing;
-        swarm;
       }
   in
   let replay_verified =
@@ -108,12 +93,8 @@ let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
     n;
     f;
     counters = r.E.counters;
-    visited;
-    naive = r.E.naive;
-    naive_partial = r.E.naive_partial;
     violation = r.E.violation;
     replay_verified;
-    shard_load = r.E.shard_load;
   }
 
 type canonical = {
@@ -166,7 +147,6 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
       fp = Mc_limits.default_fp;
       pool = true;
       symmetry;
-      open_depth = E.default_swarm_open_depth;
     }
   in
   let ctx = E.create_ctx cfg in
@@ -210,19 +190,6 @@ let pp_outcome ppf o =
   Format.fprintf ppf "@[<v>%s, class %s, n=%d f=%d: %s@,%a" o.protocol
     (class_name o.klass) o.n o.f (verdict_string o) Mc_limits.pp_counters
     o.counters;
-  (match o.visited with
-  | Mc_limits.Shared ->
-      Format.fprintf ppf
-        "@,(shared visited table: states dedup globally; counters depend \
-         on --jobs)"
-  | Mc_limits.Per_item -> ());
-  (match o.naive with
-  | Some c ->
-      Format.fprintf ppf "@,naive interleavings %s%.0f (%.1fx pruned)"
-        (if o.naive_partial then ">= " else "")
-        c
-        (c /. float_of_int (max 1 o.counters.Mc_limits.schedules))
-  | None -> ());
   (match o.violation with
   | Some v ->
       Format.fprintf ppf "@,%s@,%a" v.Mc_replay.detail Mc_replay.pp

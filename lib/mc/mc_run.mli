@@ -19,20 +19,10 @@ type outcome = {
   n : int;
   f : int;
   counters : Mc_limits.counters;
-  visited : Mc_limits.visited_mode;
-      (** dedup scope the counters were produced under (see
-          {!Mc_limits.visited_mode} for the determinism contract) *)
-  naive : float option;
-      (** schedules a naive enumerator (no sleep sets, no dedup) walks *)
-  naive_partial : bool;
   violation : Mc_replay.violation option;  (** shrunk and concretized *)
   replay_verified : bool option;
       (** [Some true] iff the engine reproduces the violation from the
           concrete witness scenario; [None] when the space is clean *)
-  shard_load : (int * int) option;
-      (** (occupied, buckets) of the fullest {!Mc_shards} table, when a
-          shared-visited or swarm mode ran — the occupancy line of
-          [mc --stats]; [None] in the default per-item mode *)
 }
 
 val clean : outcome -> bool
@@ -45,12 +35,7 @@ val run :
   ?fp:Mc_limits.fp_backend ->
   ?pool:bool ->
   ?symmetry:bool ->
-  ?swarm_open_depth:int ->
   ?jobs:int ->
-  ?naive:bool ->
-  ?visited:Mc_limits.visited_mode ->
-  ?stealing:bool ->
-  ?swarm:bool ->
   protocol:string ->
   n:int ->
   f:int ->
@@ -58,23 +43,10 @@ val run :
   unit ->
   outcome
 (** Explore every schedule of the bounded configuration (one exploration
-    per vote vector, parallel over domains). In the default
-    [~visited:Per_item] mode the counters are deterministic and
-    independent of [jobs] (and of [stealing], which only changes how
-    frontier items land on domains); [~visited:Shared] dedups states
-    globally per vote-set group — fewer states explored, but counters
-    become jobs-dependent. [~stealing:false] falls back to the shared
-    atomic cursor.
-
-    [~swarm:true] replaces the frontier decomposition with independent
-    randomized-order DFS walks, one per domain, coupled only through the
-    shared visited table (implied; no frontier handoff or steal
-    traffic). Walk orders are seeded deterministically from [Rng];
-    counters remain jobs- and timing-dependent like any shared-table
-    mode, verdicts are unaffected. [~swarm:false] never swarms; omitting
-    the argument picks swarm automatically when [~visited:Shared] runs
-    at four or more effective jobs (the scale where the walks win — see
-    DESIGN.md).
+    per vote vector). The vote vectors are split into a fixed frontier of
+    schedule prefixes, each explored with its own visited table; the
+    prefixes fan out over [jobs] domains through {!Batch.run}. The
+    counters are therefore deterministic and independent of [jobs].
 
     [~pool] (default [true]) recycles snapshot records across DFS nodes
     (strictly per-domain; see {!Machine.S.release}); it changes
@@ -89,10 +61,6 @@ val run :
     Forced off under [~fp:Fp_marshal], whose raw-byte hashing cannot
     honor a renaming.
 
-    [~swarm_open_depth] overrides how many tree levels a swarm walker
-    explores through already-claimed states (default
-    [Mc_explore.Make().default_swarm_open_depth = 6]; clamped to
-    [0..32]). Only swarm-mode walkers read it.
     @raise Not_found on unknown protocol names. *)
 
 type canonical = {

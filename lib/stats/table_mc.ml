@@ -36,26 +36,25 @@ let row_ok (o : Mc_run.outcome) claimed =
       && o.Mc_run.replay_verified = Some true
 
 let rows ?(protocols = default_protocols) ?(classes = default_classes)
-    ?budgets ?fp ?pool ?symmetry ?jobs ?visited ~n ~f () =
+    ?budgets ?fp ?pool ?symmetry ?jobs ~n ~f () =
   List.concat_map
     (fun protocol ->
       let cell = (Complexity.find_exn protocol).Complexity.cell in
       List.map
         (fun klass ->
           let outcome =
-            Mc_run.run ?budgets ?fp ?pool ?symmetry ?jobs ?visited ~protocol
-              ~n ~f ~klass ()
+            Mc_run.run ?budgets ?fp ?pool ?symmetry ?jobs ~protocol ~n ~f
+              ~klass ()
           in
           let claimed = claimed_for_class cell klass in
           { outcome; claimed; ok = row_ok outcome claimed })
         classes)
     protocols
 
-let render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs
-    ?visited ~n ~f () =
+let render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n
+    ~f () =
   let rs =
-    rows ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ?visited ~n ~f
-      ()
+    rows ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n ~f ()
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -67,14 +66,6 @@ let render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs
         violation found refutes only properties the protocol's cell does\n\
         not claim for that class, and the engine replays it.\n\n"
        n f);
-  (* the default (per-item) header stays byte-identical; shared mode is
-     labelled because its counters are jobs-dependent *)
-  (match visited with
-  | Some Mc_limits.Shared ->
-      Buffer.add_string buf
-        "Shared visited table: states dedup globally per vote-set group;\n\
-         state counts depend on --jobs (verdicts do not).\n\n"
-  | Some Mc_limits.Per_item | None -> ());
   let table =
     Ascii.create
       ~header:
@@ -102,8 +93,7 @@ let render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs
   Buffer.add_string buf (Ascii.render table);
   (Buffer.contents buf, List.for_all (fun r -> r.ok) rs)
 
-let render ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ?visited ~n
-    ~f () =
+let render ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n ~f () =
   fst
-    (render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs
-       ?visited ~n ~f ())
+    (render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n
+       ~f ())

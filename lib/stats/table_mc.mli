@@ -28,7 +28,6 @@ val rows :
   ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
-  ?visited:Mc_limits.visited_mode ->
   n:int ->
   f:int ->
   unit ->
@@ -42,7 +41,6 @@ val render :
   ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
-  ?visited:Mc_limits.visited_mode ->
   n:int ->
   f:int ->
   unit ->
@@ -56,7 +54,6 @@ val render_checked :
   ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
-  ?visited:Mc_limits.visited_mode ->
   n:int ->
   f:int ->
   unit ->

@@ -32,7 +32,7 @@ def need(cond, what):
         errors.append(what)
 
 
-need(doc.get("schema") == "actable-bench/8", "schema actable-bench/8")
+need(doc.get("schema") == "actable-bench/9", "schema actable-bench/9")
 need(isinstance(doc.get("pairs"), list) and doc["pairs"], "non-empty pairs")
 
 for section in ("nice_run_seconds", "table_seconds"):
@@ -64,48 +64,28 @@ h, m = backends.get("hashed", {}), backends.get("marshal", {})
 need(h.get("states") == m.get("states"), "backends agree on states")
 need(h.get("schedules") == m.get("schedules"), "backends agree on schedules")
 
-# frontier-scheduling matrix: six configs plus derived speedups
+# frontier scaling: the per-item cursor at jobs=1 and jobs=4, plus the
+# derived wall-clock speedup
 frontier = mc.get("frontier", {})
-FRONTIER_CONFIGS = (
-    "per_item_cursor_j1",
-    "per_item_stealing_j4",
-    "shared_stealing_j1",
-    "shared_stealing_j4",
-    "swarm_shared_j1",
-    "swarm_shared_j4",
-)
+FRONTIER_CONFIGS = ("per_item_cursor_j1", "per_item_cursor_j4")
 for cfg in FRONTIER_CONFIGS:
     row = frontier.get(cfg, {})
     for k in ("seconds", "states", "schedules", "states_per_sec"):
         need(isinstance(row.get(k), (int, float)) and row[k] > 0,
              f"mc.frontier.{cfg}.{k} > 0")
-for k in ("stealing_speedup_j4", "shared_speedup_j4", "swarm_speedup_j4",
-          "swarm_states_per_sec_ratio_j4"):
-    need(isinstance(frontier.get(k), (int, float)) and frontier[k] > 0,
-         f"mc.frontier.{k} > 0")
+need(isinstance(frontier.get("speedup_j4"), (int, float))
+     and frontier["speedup_j4"] > 0, "mc.frontier.speedup_j4 > 0")
 
-# per-item counters are deterministic: the stealing scheduler at jobs=4
-# must report exactly what the cursor baseline reports at jobs=1
+# per-item counters are deterministic: jobs=4 must report exactly what
+# jobs=1 reports
 cursor = frontier.get("per_item_cursor_j1", {})
-stealing = frontier.get("per_item_stealing_j4", {})
-need(cursor.get("states") == stealing.get("states"),
-     "per-item states identical across cursor/stealing")
-need(cursor.get("schedules") == stealing.get("schedules"),
-     "per-item schedules identical across cursor/stealing")
+cursor_j4 = frontier.get("per_item_cursor_j4", {})
+need(cursor.get("states") == cursor_j4.get("states"),
+     "per-item states identical across jobs 1/4")
+need(cursor.get("schedules") == cursor_j4.get("schedules"),
+     "per-item schedules identical across jobs 1/4")
 
-# global dedup can only shrink the explored state count (swarm walkers
-# re-expand a bounded shallow prefix, but the shared table still keeps
-# them inside the per-item envelope)
-for cfg in ("shared_stealing_j1", "shared_stealing_j4", "swarm_shared_j1",
-            "swarm_shared_j4"):
-    shared_states = frontier.get(cfg, {}).get("states")
-    if isinstance(shared_states, (int, float)) and \
-       isinstance(cursor.get("states"), (int, float)):
-        need(shared_states <= cursor["states"],
-             f"mc.frontier.{cfg}.states <= per-item states")
-
-# the per-item frontier rows must match the backend rows (same pinned
-# config, same deterministic mode)
+# the frontier rows must match the backend rows (same pinned config)
 if isinstance(h.get("states"), (int, float)) and \
    isinstance(cursor.get("states"), (int, float)):
     need(cursor["states"] == h["states"],

@@ -9,8 +9,8 @@ absolute timings on shared runners are noisy — so every failure mode
 (missing file, unparsable JSON, unknown schema) degrades to a note and
 exit 0; only being invoked with the wrong number of arguments is an
 error. Old reports with any actable-bench/* schema are accepted: rows
-added by later schemas (the swarm arms of actable-bench/4) print as
-n/a when the old report predates them.
+a report lacks (the per_item_cursor_j4 row added by actable-bench/9)
+print as n/a.
 """
 import json
 import sys
@@ -50,9 +50,7 @@ def frontier_sps(doc, cfg):
 parts = []
 for cfg, label in (
     ("per_item_cursor_j1", "cursor-j1"),
-    ("per_item_stealing_j4", "steal-j4"),
-    ("shared_stealing_j4", "shared-j4"),
-    ("swarm_shared_j4", "swarm-j4"),
+    ("per_item_cursor_j4", "cursor-j4"),
 ):
     o, n = frontier_sps(old, cfg), frontier_sps(new, cfg)
     if o is None or n is None:
@@ -60,13 +58,12 @@ for cfg, label in (
     else:
         parts.append(f"{label} {n:.0f}/s ({n / o - 1:+.1%})")
 
-# swarm-vs-sequential wall-clock speedup of the new report (old reports
-# predating actable-bench/4 simply print n/a)
-swarm_speedup = new.get("mc", {}).get("frontier", {}).get("swarm_speedup_j4")
-if isinstance(swarm_speedup, (int, float)) and swarm_speedup > 0:
-    parts.append(f"swarm-vs-sequential {swarm_speedup:.2f}x")
+# jobs=4 vs jobs=1 wall-clock speedup of the new report
+speedup_j4 = new.get("mc", {}).get("frontier", {}).get("speedup_j4")
+if isinstance(speedup_j4, (int, float)) and speedup_j4 > 0:
+    parts.append(f"j4-vs-j1 {speedup_j4:.2f}x")
 else:
-    parts.append("swarm-vs-sequential n/a")
+    parts.append("j4-vs-j1 n/a")
 
 hashed_old = old.get("mc", {}).get("backends", {}).get("hashed", {}).get(
     "states_per_sec")

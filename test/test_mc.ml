@@ -51,8 +51,8 @@ let cross_validation_tests =
 (* ------------------------------------------------------------------ *)
 (* The L1 witnesses, rediscovered by exhaustive search *)
 
-let run ?budgets ?naive ~protocol ~klass () =
-  Mc_run.run ?budgets ?naive ~protocol ~n:3 ~f:1 ~klass ()
+let run ?budgets ~protocol ~klass () =
+  Mc_run.run ?budgets ~protocol ~n:3 ~f:1 ~klass ()
 
 let test_2pc_blocks_on_crash () =
   let o = run ~protocol:"2pc" ~klass:Mc_run.Crash () in
@@ -89,15 +89,38 @@ let test_3pc_crash_clean () =
 (* ------------------------------------------------------------------ *)
 (* Determinism and pruning *)
 
+(* Per-item visited tables make every counter independent of how the
+   frontier items land on domains. Pinned at jobs 1/2/4 for protocols
+   whose vote-refined group at n=3 is trivial (inbac, (2n-2+f)nbac) and
+   for one that canonicalizes (1nbac), so the cursor path is covered
+   with and without canonicalization. *)
 let test_counters_jobs_independent () =
-  let at jobs =
-    Mc_run.run ~jobs ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Crash ()
-  in
-  let a = (at 1).Mc_run.counters and b = (at 4).Mc_run.counters in
-  check tint "states" a.Mc_limits.states b.Mc_limits.states;
-  check tint "schedules" a.Mc_limits.schedules b.Mc_limits.schedules;
-  check tint "sleep skips" a.Mc_limits.sleep_skips b.Mc_limits.sleep_skips;
-  check tint "dedup hits" a.Mc_limits.dedup_hits b.Mc_limits.dedup_hits
+  List.iter
+    (fun (protocol, canonicalizes) ->
+      let at jobs =
+        (Mc_run.run ~jobs ~protocol ~n:3 ~f:1 ~klass:Mc_run.Crash ())
+          .Mc_run.counters
+      in
+      let a = at 1 in
+      check tbool
+        (protocol ^ " canonicalizes")
+        canonicalizes
+        (a.Mc_limits.canon_calls > 0);
+      List.iter
+        (fun jobs ->
+          let b = at jobs in
+          let eq what x y =
+            check tint (Printf.sprintf "%s %s jobs %d" protocol what jobs) x y
+          in
+          eq "states" a.Mc_limits.states b.Mc_limits.states;
+          eq "transitions" a.Mc_limits.transitions b.Mc_limits.transitions;
+          eq "schedules" a.Mc_limits.schedules b.Mc_limits.schedules;
+          eq "sleep skips" a.Mc_limits.sleep_skips b.Mc_limits.sleep_skips;
+          eq "dedup hits" a.Mc_limits.dedup_hits b.Mc_limits.dedup_hits;
+          eq "canon calls" a.Mc_limits.canon_calls b.Mc_limits.canon_calls;
+          eq "orbit hits" a.Mc_limits.orbit_hits b.Mc_limits.orbit_hits)
+        [ 2; 4 ])
+    [ ("inbac", false); ("(2n-2+f)nbac", false); ("1nbac", true) ]
 
 let test_witness_deterministic () =
   let witness () =
@@ -109,16 +132,6 @@ let test_witness_deterministic () =
   in
   check (Alcotest.list Alcotest.string) "same shrunk schedule" (witness ())
     (witness ())
-
-let test_dpor_prunes () =
-  let o = run ~naive:true ~protocol:"inbac" ~klass:Mc_run.Crash () in
-  check tbool "naive count computed" true (o.Mc_run.naive <> None);
-  match o.Mc_run.naive with
-  | Some naive ->
-      check tbool "at least 10x fewer schedules than naive" true
-        (naive /. float_of_int (max 1 o.Mc_run.counters.Mc_limits.schedules)
-        >= 10.)
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint soundness. The hashed backend replaces marshal-byte
@@ -151,7 +164,6 @@ struct
       (* the suite exercises [fingerprint_hashed] directly, so the
          canonicalization layer stays out of the way *)
       symmetry = false;
-      open_depth = E.default_swarm_open_depth;
     }
 
   let all_yes = [| Vote.yes; Vote.yes; Vote.yes |]
@@ -340,9 +352,8 @@ let test_backends_agree protocol () =
   check tint "peak visited" a.Mc_limits.peak_visited b.Mc_limits.peak_visited
 
 (* ------------------------------------------------------------------ *)
-(* Frontier scheduling: the structural-progress fix, mctable
-   byte-determinism under the stealing scheduler, and the shared
-   visited table's counter contract. *)
+(* Frontier scheduling: the structural-progress fix and mctable
+   byte-determinism across job counts. *)
 
 (* Regression for the frontier fixed-point bug: the root expansion
    [[]] -> [[S_proposals]] is a 1 -> 1 round, which the old
@@ -360,7 +371,6 @@ let test_frontier_nice_regression () =
       fp = Mc_limits.Fp_hashed;
       pool = true;
       symmetry = false;
-      open_depth = Fp_inbac.E.default_swarm_open_depth;
     }
   in
   let items = Fp_inbac.E.frontier cfg in
@@ -371,9 +381,8 @@ let test_frontier_nice_regression () =
     (List.length items > 1)
 
 (* The deterministic contract, end to end: the rendered mctable — the
-   user-facing artifact — must be byte-identical across job counts under
-   the work-stealing scheduler. Restricted to two protocols and the
-   crash class to stay test-sized. *)
+   user-facing artifact — must be byte-identical across job counts.
+   Restricted to two protocols and the crash class to stay test-sized. *)
 let test_mctable_bytes_across_jobs () =
   let render jobs =
     Table_mc.render ~protocols:[ "inbac"; "2pc" ] ~classes:[ Mc_run.Crash ]
@@ -382,201 +391,6 @@ let test_mctable_bytes_across_jobs () =
   let j1 = render 1 in
   check Alcotest.string "jobs 1 = jobs 2" j1 (render 2);
   check Alcotest.string "jobs 1 = jobs 8" j1 (render 8)
-
-(* Global dedup can only shrink the explored space: the shared table
-   must never report MORE states than per-item mode, and must reach the
-   same (clean, exhausted) verdict on the pinned config. *)
-let test_shared_visited_fewer_states () =
-  let at visited jobs =
-    Mc_run.run ~visited ~jobs ~protocol:"inbac" ~n:3 ~f:1
-      ~klass:Mc_run.Crash ()
-  in
-  let per_item = at Mc_limits.Per_item 1 in
-  List.iter
-    (fun jobs ->
-      let shared = at Mc_limits.Shared jobs in
-      check tbool
-        (Printf.sprintf "clean at jobs %d" jobs)
-        true (Mc_run.clean shared);
-      check tbool
-        (Printf.sprintf "no budget hit at jobs %d" jobs)
-        false shared.Mc_run.counters.Mc_limits.budget_hit;
-      check tbool
-        (Printf.sprintf "shared states <= per-item states at jobs %d" jobs)
-        true
-        (shared.Mc_run.counters.Mc_limits.states
-        <= per_item.Mc_run.counters.Mc_limits.states))
-    [ 1; 4 ]
-
-(* Stealing without splitting maps every frontier item to exactly one
-   exploration, so its counters must equal the legacy cursor's. *)
-let test_stealing_matches_cursor () =
-  let at stealing =
-    (Mc_run.run ~stealing ~jobs:4 ~protocol:"inbac" ~n:3 ~f:1
-       ~klass:Mc_run.Crash ())
-      .Mc_run.counters
-  in
-  let a = at true and b = at false in
-  check tint "states" a.Mc_limits.states b.Mc_limits.states;
-  check tint "transitions" a.Mc_limits.transitions b.Mc_limits.transitions;
-  check tint "schedules" a.Mc_limits.schedules b.Mc_limits.schedules;
-  check tint "dedup hits" a.Mc_limits.dedup_hits b.Mc_limits.dedup_hits;
-  check tint "sleep skips" a.Mc_limits.sleep_skips b.Mc_limits.sleep_skips
-
-(* ------------------------------------------------------------------ *)
-(* Swarm mode: independent randomized-order walks, one per domain,
-   coupled only through the shared visited table. *)
-
-(* Differential contract, property-tested over the job count: whatever
-   the domain count, a swarm run must reach the same verdict as the
-   sequential per-item explorer (clean runs stay clean, violations name
-   the same property), explore at least one state, and — when the
-   baseline exhausts a clean space — stay within the per-item envelope
-   (global dedup plus the bounded open-depth prefix can only shrink the
-   space). Counters themselves are jobs-dependent by contract, so only
-   the envelope is asserted, never equality. *)
-let swarm_differential ~protocol ~klass ~budgets =
-  let name =
-    Printf.sprintf "swarm %s/%s verdict = sequential (any jobs)" protocol
-      (Mc_run.class_name klass)
-  in
-  let baseline =
-    Mc_run.run ~budgets ~jobs:1 ~protocol ~n:3 ~f:1 ~klass ()
-  in
-  let violation_key o =
-    Option.map
-      (fun (v : Mc_replay.violation) ->
-        Mc_replay.property_name v.Mc_replay.property)
-      o.Mc_run.violation
-  in
-  let base_exhausted =
-    Mc_run.clean baseline
-    && Mc_limits.exhausted baseline.Mc_run.counters
-  in
-  QCheck.Test.make ~count:6 ~name
-    QCheck.(int_range 1 6)
-    (fun jobs ->
-      let swarm =
-        Mc_run.run ~budgets ~swarm:true ~jobs ~protocol ~n:3 ~f:1 ~klass ()
-      in
-      let states = swarm.Mc_run.counters.Mc_limits.states in
-      violation_key swarm = violation_key baseline
-      && states > 0
-      && ((not base_exhausted)
-         || states <= baseline.Mc_run.counters.Mc_limits.states))
-
-let network_capped =
-  {
-    (Mc_limits.default_budgets ~u:Sim_time.default_u) with
-    Mc_limits.max_states = 2_000;
-  }
-
-let swarm_differential_tests =
-  List.map QCheck_alcotest.to_alcotest
-    [
-      swarm_differential ~protocol:"inbac" ~klass:Mc_run.Crash
-        ~budgets:(Mc_limits.default_budgets ~u:Sim_time.default_u);
-      swarm_differential ~protocol:"2pc" ~klass:Mc_run.Crash
-        ~budgets:(Mc_limits.default_budgets ~u:Sim_time.default_u);
-      swarm_differential ~protocol:"inbac" ~klass:Mc_run.Network
-        ~budgets:network_capped;
-      swarm_differential ~protocol:"2pc" ~klass:Mc_run.Network
-        ~budgets:network_capped;
-    ]
-
-(* Eight domains hammer one lock-free shards table with overlapping key
-   streams: [find_or_insert] acknowledges each distinct key fresh
-   ([None]) exactly once table-wide, so the per-domain fresh counts must
-   sum to both the table size and the distinct-key count, while a
-   concurrent reader checks [size] never moves backwards (the counter is
-   monotone and acknowledgment-consistent — no transient under-report
-   window between a winning CAS and the size bump being visible). *)
-let test_shards_stress () =
-  let distinct = 4_096 and domains = 8 in
-  let table = Mc_shards.create ~capacity:distinct () in
-  let stop = Atomic.make false in
-  let reader =
-    Domain.spawn (fun () ->
-        let last = ref 0 in
-        let monotone = ref true in
-        while not (Atomic.get stop) do
-          let s = Mc_shards.size table in
-          if s < !last then monotone := false;
-          last := s;
-          Domain.cpu_relax ()
-        done;
-        !monotone)
-  in
-  let key i =
-    { Fingerprint.d1 = i * 0x2545F4914F6CDD1D land max_int; d2 = i }
-  in
-  let worker d () =
-    let fresh = ref 0 in
-    for k = 0 to distinct - 1 do
-      (* every domain inserts every key, each in a different order *)
-      let i = (k + (d * 997)) mod distinct in
-      if Mc_shards.find_or_insert table (key i) d = None then incr fresh
-    done;
-    !fresh
-  in
-  let workers = List.init domains (fun d -> Domain.spawn (worker d)) in
-  let fresh_sum =
-    List.fold_left (fun acc w -> acc + Domain.join w) 0 workers
-  in
-  Atomic.set stop true;
-  check tbool "size monotone under concurrent inserts" true
-    (Domain.join reader);
-  check tint "fresh-insert acknowledgments sum to distinct keys" distinct
-    fresh_sum;
-  check tint "size equals distinct keys" distinct (Mc_shards.size table);
-  (* and every key is findable with some inserter's value *)
-  let missing = ref 0 in
-  for i = 0 to distinct - 1 do
-    if Mc_shards.find_opt table (key i) = None then incr missing
-  done;
-  check tint "no key lost" 0 !missing
-
-(* A wildly out-of-range open-depth must clamp instead of breaking the
-   walkers, and the clamped run must agree with the default verdict. *)
-let test_open_depth_clamp () =
-  let module E = Fp_inbac.E in
-  check tint "negative clamps to 0" 0 (E.clamp_open_depth (-3));
-  check tint "huge clamps to 32" 32 (E.clamp_open_depth 1_000);
-  check tint "in-range value passes through" 6 (E.clamp_open_depth 6);
-  check tint "default is in range" E.default_swarm_open_depth
-    (E.clamp_open_depth E.default_swarm_open_depth);
-  let verdict d =
-    Mc_run.verdict_string
-      (Mc_run.run ~swarm:true ?swarm_open_depth:d ~jobs:2 ~protocol:"inbac"
-         ~n:3 ~f:1 ~klass:Mc_run.Crash ())
-  in
-  check Alcotest.string "open-depth 1000 reaches the default verdict"
-    (verdict None)
-    (verdict (Some 1_000))
-
-(* n=5-sized budgets must not preallocate the shards index space: the
-   spine caps at 2^21 buckets, segments materialize on first touch, and
-   keys stay findable across segment boundaries. *)
-let test_shards_growth () =
-  let huge = Mc_shards.create ~capacity:100_000_000 () in
-  check tint "buckets capped at 2^21" (1 lsl 21) (Mc_shards.buckets huge);
-  check tint "no segments before the first insert" 0
-    (Mc_shards.segments_allocated huge);
-  let key i =
-    { Fingerprint.d1 = i * 0x2545F4914F6CDD1D land max_int; d2 = i }
-  in
-  for i = 0 to 999 do
-    ignore (Mc_shards.find_or_insert huge (key i) i)
-  done;
-  check tint "inserts land" 1_000 (Mc_shards.size huge);
-  check tbool "segments materialize lazily" true
-    (let segs = Mc_shards.segments_allocated huge in
-     segs >= 1 && segs <= 512);
-  let missing = ref 0 in
-  for i = 0 to 999 do
-    if Mc_shards.find_opt huge (key i) = None then incr missing
-  done;
-  check tint "no key lost across segments" 0 !missing
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry reduction: canonicalization must be invisible in verdicts. *)
@@ -735,7 +549,6 @@ let () =
         [
           quick "counters independent of --jobs" test_counters_jobs_independent;
           quick "shrunk witness deterministic" test_witness_deterministic;
-          quick "dpor + dedup prune >= 10x" test_dpor_prunes;
         ] );
       ( "frontier-scheduling",
         [
@@ -743,20 +556,7 @@ let () =
             test_frontier_nice_regression;
           quick "mctable bytes identical across jobs 1/2/8"
             test_mctable_bytes_across_jobs;
-          quick "shared visited never more states"
-            test_shared_visited_fewer_states;
-          quick "stealing counters = cursor counters"
-            test_stealing_matches_cursor;
         ] );
-      ( "swarm",
-        swarm_differential_tests
-        @ [
-            quick "shards: 8-domain stress, size = fresh-insert sum"
-              test_shards_stress;
-            quick "shards: capped spine, lazy segments" test_shards_growth;
-            quick "open-depth clamps and stays verdict-neutral"
-              test_open_depth_clamp;
-          ] );
       ( "symmetry",
         symmetry_differential_tests
         @ [
