@@ -105,22 +105,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | Timeout of { pid : Pid.t; layer : Trace.layer; id : string; epoch : int }
     | Crash of Pid.t
 
-  type sev =
-    | Submit of int  (* client id *)
-    | Launch_batch of int  (* batch-window expiry *)
-    | Outage of Pid.t
-    | Recover of Pid.t
-    | Elect  (* election timer of the instance the event is tagged with *)
-    | Inst of iev
-
-  (* A transaction waiting in / running through an instance:
-     (txn, client, submitted_at). *)
-  type member = Txn.t * int * Sim_time.t
-
   type inst = {
     mutable i_id : int;
     mutable tag : int;  (* current Mux tag; re-tagged on every re-drive *)
-    mutable i_members : member list;  (* oldest first *)
+    mutable i_members : waiter list;  (* oldest first *)
     votes : Vote.t array;
     mutable machine : M.t;
     mutable started : Sim_time.t;
@@ -135,20 +123,48 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            instance holds, FIFO; released when the instance resolves *)
   }
 
+  (* A transaction waiting for admission or running through an instance.
+     Keys are interned ids into the run's dense keyspace: [w_ids] in the
+     transaction's own order (its reads, then its writes), [w_keys] the
+     same ids in key-name order, the order in which admission looks for
+     the holder to wait on. *)
   and waiter = {
     w_txn : Txn.t;
     w_client : int;
     w_submitted : Sim_time.t;
-    w_keys : string list;
+    w_ids : int array;
+    w_keys : int array;
+    w_owners : int;  (* bitmask of the shards owning a write *)
     mutable w_waits : int;  (* completed waits so far *)
   }
 
+  (* The open batches of one write-owner set hang on a ring through a
+     sentinel, newest first, so a batch leaves it in O(1) at launch. *)
   type batch = {
-    b_id : int;
-    owners : string;  (* canonical write-owner-set key *)
     mutable b_members : waiter list;  (* newest first *)
+    mutable b_count : int;
+    mutable b_keys : int array;  (* every member's key ids *)
     mutable b_launched : bool;
+    mutable b_older : batch;
+    mutable b_newer : batch;
   }
+
+  type sev =
+    | Submit of int  (* client id *)
+    | Launch_batch of batch  (* batch-window expiry *)
+    | Outage of Pid.t
+    | Recover of Pid.t
+    | Elect  (* election timer of the instance the event is tagged with *)
+    | Inst of iev
+
+  (* The lock table and the batch index are keyed by ints. *)
+  module Itbl = Hashtbl.Make (Int)
+
+  let rec mem_id k ids j =
+    j < Array.length ids && (ids.(j) = k || mem_id k ids (j + 1))
+
+  let rec shares_id a b i =
+    i < Array.length a && (mem_id a.(i) b 0 || shares_id a b (i + 1))
 
   let run ?observe ~n ~f (spec : spec) : stats =
     let u = Sim_time.default_u in
@@ -164,53 +180,52 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let q : sev Mux.t = Mux.create () in
     let stores = Array.init n (fun _ -> Kv_store.create ()) in
     let all_pids = Pid.all ~n in
-    let owner_of key = Txn_system.placement_key ~n key in
     (* the keyspace is dense and known up front: intern every key name and
-       its owner once, so the generator never formats a key string again *)
+       its owner shard once, so the generator never formats a key string
+       again and admission works on key ids alone *)
     let key_names = Array.init spec.keys (fun i -> Printf.sprintf "k%d" i) in
-    let key_owner = Array.map owner_of key_names in
-    (* write locks held by launched-but-unresolved instances; a key may
-       appear once per holding instance. Holding the instance record (not
-       just its id) lets queued admission reach the holder's wait queue. *)
-    let locks : (string, inst) Hashtbl.t array =
-      Array.init n (fun _ -> Hashtbl.create 64)
+    let key_shard =
+      Array.map (fun k -> Pid.index (Txn_system.placement_key ~n k)) key_names
     in
+    let nreads = spec.reads_per_txn in
+    (* write locks held by launched-but-unresolved instances, by key id;
+       only locked keys have an entry. Several instances may hold a key
+       (abort mode launches conflicting batches), newest first. Holding
+       the instance record (not just its id) lets queued admission reach
+       the holder's wait queue. *)
+    let locks : inst list Itbl.t = Itbl.create 64 in
     let down = Array.make n false in
     let send_seq = ref 0 in
     let messages = ref 0 in
-    let local_writes pid (txn : Txn.t) =
-      List.filter (fun (k, _) -> Pid.equal (owner_of k) pid) txn.Txn.writes
-    in
-    let local_reads pid (txn : Txn.t) =
-      List.filter (fun (k, _) -> Pid.equal (owner_of k) pid) txn.Txn.reads
-    in
 
-    let lock_add pid key inst = Hashtbl.add locks.(Pid.index pid) key inst in
-    let lock_release pid inst =
-      let h = locks.(Pid.index pid) in
-      let keys =
-        Hashtbl.fold
-          (fun k holder acc ->
-            if holder == inst && not (List.mem k acc) then k :: acc else acc)
-          h []
-      in
-      List.iter
-        (fun k ->
-          let others =
-            List.filter (fun holder -> holder != inst) (Hashtbl.find_all h k)
-          in
-          while Hashtbl.mem h k do
-            Hashtbl.remove h k
-          done;
-          List.iter (fun holder -> Hashtbl.add h k holder) others)
-        keys
+    let lock_add k inst =
+      let holders = try Itbl.find locks k with Not_found -> [] in
+      Itbl.replace locks k (inst :: holders)
     in
-    let rec holder_of = function
-      | [] -> None
-      | k :: rest -> (
-          match Hashtbl.find_opt locks.(Pid.index (owner_of k)) k with
-          | Some _ as h -> h
-          | None -> holder_of rest)
+    (* an instance releases each of its keys exactly once; the other
+       holders (abort mode only) come back in reverse order, the order
+       releases have always left them in *)
+    let unlock k inst =
+      match List.filter (fun h -> h != inst) (Itbl.find locks k) with
+      | [] -> Itbl.remove locks k
+      | others -> Itbl.replace locks k (List.rev others)
+    in
+    let lock_release shard inst =
+      List.iter
+        (fun (w : waiter) ->
+          for j = nreads to Array.length w.w_ids - 1 do
+            let k = w.w_ids.(j) in
+            if key_shard.(k) = shard then unlock k inst
+          done)
+        inst.i_members
+    in
+    (* the newest holder of the first locked key in [keys.(i..)] *)
+    let rec holder_of keys i =
+      if i = Array.length keys then None
+      else
+        match Itbl.find locks keys.(i) with
+        | holder :: _ -> Some holder
+        | [] | (exception Not_found) -> holder_of keys (i + 1)
     in
 
     (* Live instances, indexed by the slot of their current Mux tag; a
@@ -258,9 +273,18 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let stolen = ref 0 in
     let members_launched = ref 0 in
 
-    let batches : (int, batch) Hashtbl.t = Hashtbl.create 64 in
-    let open_batches : batch list ref = ref [] in
-    let next_batch = ref 0 in
+    (* the ring sentinel of each write-owner set's open batches *)
+    let rings : batch Itbl.t = Itbl.create 16 in
+    let ring_of owners =
+      try Itbl.find rings owners
+      with Not_found ->
+        let rec s =
+          { b_members = []; b_count = 0; b_keys = [||]; b_launched = true;
+            b_older = s; b_newer = s }
+        in
+        Itbl.add rings owners s;
+        s
+    in
     let ready : batch Queue.t = Queue.create () in
 
     let issued = ref 0 in
@@ -405,19 +429,21 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           end
     in
 
-    let start_members now (members : member list) =
+    let start_members now (members : waiter list) =
       let id = !next_inst in
       incr next_inst;
       (* write-ahead: every owner stages its legs before voting *)
       List.iter
-        (fun ((txn : Txn.t), _, _) ->
-          List.iter
-            (fun pid ->
-              let writes = local_writes pid txn in
-              if writes <> [] then
-                Kv_store.stage stores.(Pid.index pid) ~txn_id:txn.Txn.id
-                  ~writes)
-            all_pids)
+        (fun (w : waiter) ->
+          for i = 0 to n - 1 do
+            let writes =
+              List.filteri
+                (fun j _ -> key_shard.(w.w_ids.(nreads + j)) = i)
+                w.w_txn.Txn.writes
+            in
+            if writes <> [] then
+              Kv_store.stage stores.(i) ~txn_id:w.w_txn.Txn.id ~writes
+          done)
         members;
       let tag = Mux.alloc q in
       let inst =
@@ -454,30 +480,24 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             }
       in
       (* per-shard vote: optimistic read validation, and no key of the
-         batch may be write-locked by another in-flight instance (our own
-         locks are not yet added) *)
-      for i = 0 to n - 1 do
-        let pid = Pid.of_index i in
-        let store = stores.(i) in
-        inst.votes.(i) <-
-          Vote.of_bool
-            (List.for_all
-               (fun ((txn : Txn.t), _, _) ->
-                 List.for_all
-                   (fun (k, expected) ->
-                     Kv_store.version store ~key:k = expected)
-                   (local_reads pid txn)
-                 && List.for_all
-                      (fun k -> not (Hashtbl.mem locks.(i) k))
-                      (List.map fst (local_reads pid txn)
-                      @ List.map fst (local_writes pid txn)))
-               members)
-      done;
+         batch may be write-locked by another in-flight instance; a failing
+         key vetoes its owner's vote. Members of a batch share no key, so
+         taking each member's locks right after its check never shows a
+         later member our own locks. *)
+      Array.fill inst.votes 0 n Vote.yes;
+      let veto k = inst.votes.(key_shard.(k)) <- Vote.no in
       List.iter
-        (fun ((txn : Txn.t), _, _) ->
-          List.iter
-            (fun (k, _) -> lock_add (owner_of k) k inst)
-            txn.Txn.writes)
+        (fun (w : waiter) ->
+          List.iteri
+            (fun j (key, expected) ->
+              let k = w.w_ids.(j) in
+              if Kv_store.version stores.(key_shard.(k)) ~key <> expected then
+                veto k)
+            w.w_txn.Txn.reads;
+          Array.iter (fun k -> if Itbl.mem locks k then veto k) w.w_ids;
+          for j = nreads to Array.length w.w_ids - 1 do
+            lock_add w.w_ids.(j) inst
+          done)
         members;
       slot_put tag inst;
       members_launched := !members_launched + List.length members;
@@ -493,16 +513,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        they always did. *)
     let start_instance now (waiters_in : waiter list) =
       let members =
-        List.filter_map
+        List.filter
           (fun (w : waiter) ->
             match
-              if spec.admission = Queue_waiters then holder_of w.w_keys
+              if spec.admission = Queue_waiters then holder_of w.w_keys 0
               else None
             with
             | Some holder ->
                 wait_or_abort now w holder;
-                None
-            | None -> Some (w.w_txn, w.w_client, w.w_submitted))
+                false
+            | None -> true)
           waiters_in
       in
       if members <> [] then start_members now members
@@ -515,10 +535,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       done
     in
     let launch_batch now b =
-      if (not b.b_launched) && b.b_members <> [] then begin
+      if not b.b_launched then begin
         b.b_launched <- true;
-        Hashtbl.remove batches b.b_id;
-        open_batches := List.filter (fun ob -> ob.b_id <> b.b_id) !open_batches;
+        b.b_newer.b_older <- b.b_older;
+        b.b_older.b_newer <- b.b_newer;
         Queue.push b ready;
         launch_ready now
       end
@@ -577,16 +597,16 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       (match inst.outcome with
       | Some Vote.Commit ->
           List.iter
-            (fun ((txn : Txn.t), _, _) ->
-              ignore (Kv_store.apply stores.(i) ~txn_id:txn.Txn.id))
+            (fun (w : waiter) ->
+              ignore (Kv_store.apply stores.(i) ~txn_id:w.w_txn.Txn.id))
             inst.i_members
       | Some Vote.Abort ->
           List.iter
-            (fun ((txn : Txn.t), _, _) ->
-              Kv_store.discard stores.(i) ~txn_id:txn.Txn.id)
+            (fun (w : waiter) ->
+              Kv_store.discard stores.(i) ~txn_id:w.w_txn.Txn.id)
             inst.i_members
       | None -> ());
-      lock_release pid inst;
+      lock_release i inst;
       inst.resolved.(i) <- true
     in
 
@@ -598,15 +618,14 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     let maybe_retire inst =
       if inst.outcome <> None && fully_resolved inst then begin
         List.iter
-          (fun ((txn : Txn.t), _, _) ->
-            List.iter
-              (fun (k, _) ->
-                if
-                  Kv_store.staged stores.(Pid.index (owner_of k))
-                    ~txn_id:txn.Txn.id
-                  <> None
-                then atomicity_ok := false)
-              txn.Txn.writes)
+          (fun (w : waiter) ->
+            for j = nreads to Array.length w.w_ids - 1 do
+              if
+                Kv_store.staged stores.(key_shard.(w.w_ids.(j)))
+                  ~txn_id:w.w_txn.Txn.id
+                <> None
+              then atomicity_ok := false
+            done)
           inst.i_members;
         assert (Queue.is_empty inst.waiters);
         !slots.(Mux.slot inst.tag) <- None;
@@ -617,52 +636,45 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       end
     in
 
-    let owner_key (txn : Txn.t) =
-      String.concat ","
-        (List.map Pid.to_string
-           (List.sort_uniq Pid.compare
-              (List.map (fun (k, _) -> owner_of k) txn.Txn.writes)))
+    (* First fit: the newest open batch of [w]'s write-owner set with no
+       key in common takes [w]. Open batches always have room: a batch
+       launches the moment it fills. *)
+    let rec first_fit ring keys b =
+      if b == ring then None
+      else if shares_id keys b.b_keys 0 then first_fit ring keys b.b_older
+      else Some b
     in
     let admit now (w : waiter) =
-      let okey = owner_key w.w_txn in
-      let conflicts b =
-        List.exists
-          (fun (other : waiter) ->
-            List.exists (fun k -> List.mem k other.w_keys) w.w_keys)
-          b.b_members
-      in
-      let fits b =
-        (not b.b_launched)
-        && String.equal b.owners okey
-        && List.length b.b_members < spec.max_batch
-        && not (conflicts b)
-      in
-      match List.find_opt fits !open_batches with
+      let ring = ring_of w.w_owners in
+      match first_fit ring w.w_keys ring.b_older with
       | Some b ->
           b.b_members <- w :: b.b_members;
-          if List.length b.b_members >= spec.max_batch then launch_batch now b
+          b.b_count <- b.b_count + 1;
+          b.b_keys <- Array.append b.b_keys w.w_keys;
+          if b.b_count >= spec.max_batch then launch_batch now b
       | None ->
           let b =
             {
-              b_id = !next_batch;
-              owners = okey;
               b_members = [ w ];
+              b_count = 1;
+              b_keys = w.w_keys;
               b_launched = false;
+              b_older = ring.b_older;
+              b_newer = ring;
             }
           in
-          incr next_batch;
-          Hashtbl.replace batches b.b_id b;
-          open_batches := b :: !open_batches;
+          ring.b_older.b_newer <- b;
+          ring.b_older <- b;
           if spec.batch_window = 0 || spec.max_batch <= 1 then
             launch_batch now b
           else
             Mux.add q ~instance:(-1)
               ~time:(Sim_time.( + ) now spec.batch_window)
-              ~klass:service_class (Launch_batch b.b_id)
+              ~klass:service_class (Launch_batch b)
     in
 
     let admit_or_wait now (w : waiter) =
-      match holder_of w.w_keys with
+      match holder_of w.w_keys 0 with
       | None -> admit now w
       | Some holder -> wait_or_abort now w holder
     in
@@ -724,17 +736,18 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               if not down.(Pid.index pid) then resolve_at_shard inst pid)
             all_pids;
           List.iter
-            (fun ((txn : Txn.t), client, submitted_at) ->
+            (fun (w : waiter) ->
               (match d0 with
               | Vote.Commit ->
                   incr committed;
                   Histogram.add latency
-                    (Sim_time.delays ~u (Sim_time.( - ) decided_at submitted_at))
+                    (Sim_time.delays ~u
+                       (Sim_time.( - ) decided_at w.w_submitted))
               | Vote.Abort -> incr aborted);
               (match observe with
-              | Some obs -> obs txn.Txn.id d0
+              | Some obs -> obs w.w_txn.Txn.id d0
               | None -> ());
-              client_resubmit now client)
+              client_resubmit now w.w_client)
             inst.i_members;
           drain_waiters now inst;
           maybe_retire inst);
@@ -745,7 +758,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        into a scratch array (same rejection-then-top-rank-fill-then-shuffle
        procedure as {!Workload.distinct_keys}, same rng consumption), then
        read the interned names. The write value is the txn id itself — no
-       per-write formatting. *)
+       per-write formatting. The waiter carries the indices as key ids. *)
     let nkeys = spec.reads_per_txn + spec.writes_per_txn in
     let scratch = Array.make (max 1 nkeys) 0 in
     let pick_distinct () =
@@ -786,23 +799,35 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       done;
       count
     in
-    let generate_txn () =
+    let submit_txn now client =
       let id = Printf.sprintf "t%d" !txn_seq in
       incr txn_seq;
-      let count = pick_distinct () in
-      let nreads = min spec.reads_per_txn count in
+      let ids = Array.sub scratch 0 (pick_distinct ()) in
+      let name i = key_names.(ids.(i)) in
       let reads =
         List.init nreads (fun i ->
-            let k = key_names.(scratch.(i)) in
-            ( k,
-              Kv_store.version stores.(Pid.index key_owner.(scratch.(i))) ~key:k
-            ))
+            let store = stores.(key_shard.(ids.(i))) in
+            (name i, Kv_store.version store ~key:(name i)))
       in
       let writes =
-        List.init (count - nreads) (fun i ->
-            (key_names.(scratch.(nreads + i)), id))
+        List.init (Array.length ids - nreads) (fun i -> (name (nreads + i), id))
       in
-      Txn.make ~id ~reads ~writes ()
+      let keys = Array.copy ids in
+      Array.sort (fun a b -> String.compare key_names.(a) key_names.(b)) keys;
+      let owners = ref 0 in
+      for j = nreads to Array.length ids - 1 do
+        owners := !owners lor (1 lsl key_shard.(ids.(j)))
+      done;
+      {
+        (* the picked keys are distinct, as [Txn.make] would insist *)
+        w_txn = { Txn.id; reads; writes };
+        w_client = client;
+        w_submitted = now;
+        w_ids = ids;
+        w_keys = keys;
+        w_owners = !owners;
+        w_waits = 0;
+      }
     in
 
     let flush now =
@@ -827,20 +852,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
             incr issued;
             if spec.flush_every > 0 && !issued mod spec.flush_every = 0 then
               flush now;
-            let txn = generate_txn () in
-            admit_or_wait now
-              {
-                w_txn = txn;
-                w_client = client;
-                w_submitted = now;
-                w_keys = Txn.keys txn;
-                w_waits = 0;
-              }
+            admit_or_wait now (submit_txn now client)
           end
-      | Launch_batch b_id -> (
-          match Hashtbl.find_opt batches b_id with
-          | Some b -> launch_batch now b
-          | None -> ())
+      | Launch_batch b -> launch_batch now b
       | Outage pid ->
           down.(Pid.index pid) <- true;
           (* every in-flight instance sees the shard crash *)
@@ -934,24 +948,20 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
        where its decision is unresolved. *)
     iter_insts (fun inst ->
         List.iter
-          (fun ((txn : Txn.t), _, _) ->
-            let owners =
-              List.sort_uniq Pid.compare
-                (List.map (fun (k, _) -> owner_of k) txn.Txn.writes)
-            in
-            List.iter
-              (fun pid ->
+          (fun (w : waiter) ->
+            for i = 0 to n - 1 do
+              if w.w_owners land (1 lsl i) <> 0 then begin
                 let still_staged =
-                  Kv_store.staged stores.(Pid.index pid) ~txn_id:txn.Txn.id
-                  <> None
+                  Kv_store.staged stores.(i) ~txn_id:w.w_txn.Txn.id <> None
                 in
                 let expect_staged =
                   match inst.outcome with
                   | None -> true
-                  | Some _ -> not inst.resolved.(Pid.index pid)
+                  | Some _ -> not inst.resolved.(i)
                 in
-                if still_staged <> expect_staged then atomicity_ok := false)
-              owners)
+                if still_staged <> expect_staged then atomicity_ok := false
+              end
+            done)
           inst.i_members);
 
     (* Write-ahead entries left on LIVE shards: a still-down shard's
@@ -1013,6 +1023,9 @@ end
 
 let run ?(consensus = Registry.Paxos) ?observe ~protocol ~n ~f (spec : spec) =
   if n < 2 then invalid_arg "Commit_service.run: n < 2";
+  (* write-owner sets are int bitmasks *)
+  if n > Sys.int_size - 1 then
+    invalid_arg "Commit_service.run: n exceeds the owner-set bitmask";
   if f < 1 || f > n - 1 then invalid_arg "Commit_service.run: bad f";
   if spec.clients < 1 then invalid_arg "Commit_service.run: no clients";
   if spec.writes_per_txn < 1 then

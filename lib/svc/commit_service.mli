@@ -192,7 +192,8 @@ val run :
     @raise Not_found on an unknown protocol name.
     @raise Invalid_argument on a nonsensical spec (no clients, no writes,
     [pipeline_depth < 1], [wait_budget < 0], [election_timeout < 1],
-    ...). *)
+    ...), or when [n > Sys.int_size - 1] (write-owner sets are [int]
+    bitmasks). *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

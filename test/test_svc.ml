@@ -409,6 +409,73 @@ let test_recycle_neutral () =
       };
     ]
 
+let test_golden_schedule () =
+  (* admission is a pure function of the spec: these arm bodies were
+     captured before the lock table, batch index and conflict check were
+     rewritten over integer key ids, and any change to which transaction
+     waits, batches, or aborts shows up here byte for byte *)
+  let hot = { small with Commit_service.zipf_s = Some 1.2; keys = 32 } in
+  let outage =
+    {
+      Commit_service.default with
+      Commit_service.txns = 400;
+      seed = 7;
+      zipf_s = Some 0.8;
+      keys = 64;
+      outages = [ (1, 3 * u, Some (40 * u)) ];
+      election_timeout = None;
+    }
+  in
+  List.iter
+    (fun (name, spec, golden) ->
+      check Alcotest.string name (String.concat ", " golden)
+        (Commit_service.arm_json_body
+           (Commit_service.run ~protocol:"2pc" ~n:3 ~f:1 spec)))
+    [
+      ( "hot keys, queue mode",
+        hot,
+        [
+          {|"admission": "queue", "transactions": 200, "committed": 56|};
+          {|"aborted": 136, "local_aborts": 8, "queued": 189|};
+          {|"queue_aborts": 8, "parked": 0, "instances": 188, "retries": 0|};
+          {|"elections": 0, "stolen": 0, "mean_batch": 1.021277|};
+          {|"peak_in_flight": 4, "messages": 752, "staged_left": 0|};
+          {|"abort_rate": 0.720000, "goodput": 0.280000, "zipf_s": 1.200000|};
+          {|"latency_delays": {"mean": 16.989732, "p50": 11.420000, "p95": 55.547000, "p99": 71.565000, "max": 71.565000}|};
+          {|"time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}|};
+          {|"queue_depth": {"mean": 16.416867, "p50": 17.000000, "p95": 29.000000, "p99": 30.000000, "max": 31.000000}|};
+          {|"atomicity_ok": true, "agreement_ok": true|};
+        ] );
+      ( "hot keys, abort mode",
+        { hot with Commit_service.admission = Commit_service.Abort_on_conflict },
+        [
+          {|"admission": "abort", "transactions": 200, "committed": 5|};
+          {|"aborted": 55, "local_aborts": 140, "queued": 0|};
+          {|"queue_aborts": 0, "parked": 0, "instances": 54, "retries": 0|};
+          {|"elections": 0, "stolen": 0, "mean_batch": 1.111111|};
+          {|"peak_in_flight": 23, "messages": 216, "staged_left": 0|};
+          {|"abort_rate": 0.975000, "goodput": 0.025000, "zipf_s": 1.200000|};
+          {|"latency_delays": {"mean": 2.032800, "p50": 2.056000, "p95": 2.211000, "p99": 2.211000, "max": 2.211000}|};
+          {|"time_parked_delays": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}|};
+          {|"queue_depth": {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}|};
+          {|"atomicity_ok": true, "agreement_ok": true|};
+        ] );
+      ( "queue mode across a healing outage",
+        outage,
+        [
+          {|"admission": "queue", "transactions": 400, "committed": 76|};
+          {|"aborted": 242, "local_aborts": 82, "queued": 365|};
+          {|"queue_aborts": 82, "parked": 0, "instances": 273, "retries": 6|};
+          {|"elections": 0, "stolen": 0, "mean_batch": 1.164835|};
+          {|"peak_in_flight": 10, "messages": 1088, "staged_left": 0|};
+          {|"abort_rate": 0.810000, "goodput": 0.190000, "zipf_s": 0.800000|};
+          {|"latency_delays": {"mean": 11.366237, "p50": 4.440000, "p95": 40.918000, "p99": 85.890000, "max": 85.890000}|};
+          {|"time_parked_delays": {"mean": 36.782500, "p50": 36.104000, "p95": 38.527000, "p99": 38.527000, "max": 38.527000}|};
+          {|"queue_depth": {"mean": 71.381418, "p50": 79.000000, "p95": 119.000000, "p99": 121.000000, "max": 124.000000}|};
+          {|"atomicity_ok": true, "agreement_ok": true|};
+        ] );
+    ]
+
 let qcheck_queue_deadlock_free =
   (* liveness property: random multi-key transactions over a small
      keyspace, queued admission, no outages — every run must terminate
@@ -604,7 +671,13 @@ let test_spec_validation () =
   check tbool "outage rank out of range" true
     (invalid { small with Commit_service.outages = [ (9, u, None) ] });
   check tbool "election timeout < 1" true
-    (invalid { small with Commit_service.election_timeout = Some 0 })
+    (invalid { small with Commit_service.election_timeout = Some 0 });
+  check tbool "more shards than the owner-set bitmask holds" true
+    (try
+       ignore
+         (Commit_service.run ~protocol:"inbac" ~n:Sys.int_size ~f:1 small);
+       false
+     with Invalid_argument _ -> true)
 
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
@@ -642,6 +715,7 @@ let () =
           quick "queue accounting" test_queue_accounting;
           quick "soak mode neutral" test_soak_mode_neutral;
           quick "recycle neutral" test_recycle_neutral;
+          quick "golden schedule" test_golden_schedule;
           prop qcheck_queue_deadlock_free;
           prop qcheck_admission_differential;
         ] );
