@@ -383,29 +383,19 @@ let mc_frontier_run (_, jobs) =
   Mc_run.run ~fp:Mc_limits.Fp_hashed ~jobs ~protocol:"inbac" ~n:3 ~f:1
     ~klass:Mc_run.Crash ()
 
-(* Snapshot-pool A/B on the pinned configuration. Timing is interleaved
-   ([time_best_each]) so frequency drift cannot bias one arm; allocation
-   is measured separately with [Gc.quick_stat] deltas around a single
-   run — at jobs=1 the exploration runs inline on this domain, so the
-   deltas are exact, and allocation is deterministic so one run is
-   enough. *)
-let mc_pool_run pool =
-  Mc_run.run ~fp:Mc_limits.Fp_hashed ~pool ~jobs:1 ~protocol:"inbac" ~n:3
-    ~f:1 ~klass:Mc_run.Crash ()
-
 (* Second pinned configuration: the network class, where the enumerate
    path (overtake bookkeeping, late-budget pruning, snapshot traffic) is
    the hot loop rather than the machine interpreter. Budget-capped so one
-   run stays a few hundred ms; per-item visited mode keeps the capped
-   counters deterministic, so the A/B is still exploration-neutral. *)
+   run stays a few hundred ms; per-item visited tables keep the capped
+   counters deterministic. *)
 let network_budgets =
   {
     (Mc_limits.default_budgets ~u:Sim_time.default_u) with
     Mc_limits.max_states = 2_000;
   }
 
-let mc_network_run pool =
-  Mc_run.run ~budgets:network_budgets ~fp:Mc_limits.Fp_hashed ~pool ~jobs:1
+let mc_network_run () =
+  Mc_run.run ~budgets:network_budgets ~fp:Mc_limits.Fp_hashed ~jobs:1
     ~protocol:"inbac" ~n:3 ~f:1 ~klass:Mc_run.Network ()
 
 (* Symmetry-reduction arms: inbac n=4 f=1, symmetry off vs on, per-item
@@ -445,6 +435,11 @@ let symmetry_run ~symmetry (_, n, klass, budgets) =
   Mc_run.run ?budgets ~fp:Mc_limits.Fp_hashed ~symmetry ~jobs:1
     ~protocol:"inbac" ~n ~f:1 ~klass ()
 
+(* Allocation of one run: [Gc.quick_stat] deltas around it. At jobs=1 the
+   exploration runs inline on this domain, so the deltas are exact, and
+   they repeat exactly for the same sequence of runs, so one run is
+   enough. They are not independent of what ran earlier in the process:
+   the same config can read a few percent lower in a fresh process. *)
 let gc_measure run =
   let g0 = Gc.quick_stat () in
   let outcome = run () in
@@ -554,40 +549,17 @@ let run_json path =
   let speedup_j4 =
     frontier_secs "per_item_cursor_j1" /. frontier_secs "per_item_cursor_j4"
   in
-  let pool_times =
-    List.map
-      (fun (pool, outcome, secs) ->
-        (pool, outcome.Mc_run.counters.Mc_limits.states, secs))
-      (time_best_each ~reps:5 [ true; false ] mc_pool_run)
+  (* the crash gc row times the pinned config already timed as the
+     hashed backend row; the network row times its own capped run *)
+  let crash_gc =
+    let _, secs, _, _, _, _ =
+      List.find (fun (b, _, _, _, _, _) -> b = "hashed") mc_backends
+    in
+    (secs, gc_measure (fun () -> mc_pinned ~fp:Mc_limits.Fp_hashed ()))
   in
-  let pool_arm b =
-    let _, states, secs = List.find (fun (p, _, _) -> p = b) pool_times in
-    (states, secs)
-  in
-  let pool_speedup = snd (pool_arm false) /. snd (pool_arm true) in
-  let p_states, p_minor, p_promoted, p_major =
-    gc_measure (fun () -> mc_pool_run true)
-  in
-  let u_states, u_minor, u_promoted, u_major =
-    gc_measure (fun () -> mc_pool_run false)
-  in
-  let net_times =
-    List.map
-      (fun (pool, outcome, secs) ->
-        (pool, outcome.Mc_run.counters.Mc_limits.states, secs))
-      (time_best_each ~reps:5 [ true; false ] mc_network_run)
-  in
-  let net_arm b =
-    let _, states, secs = List.find (fun (p, _, _) -> p = b) net_times in
-    (states, secs)
-  in
-  let net_pool_speedup = snd (net_arm false) /. snd (net_arm true) in
-  let np_states, np_minor, np_promoted, np_major =
-    gc_measure (fun () -> mc_network_run true)
-  in
-  let nu_states, nu_minor, nu_promoted, nu_major =
-    gc_measure (fun () -> mc_network_run false)
-  in
+  let net_outcome, net_secs = time_best ~reps:5 mc_network_run in
+  let net_states = net_outcome.Mc_run.counters.Mc_limits.states in
+  let net_gc = (net_secs, gc_measure mc_network_run) in
   (* Symmetry arms: single runs per mode — the reduction ratio is a
      ratio of deterministic state counts, not of wall times, so
      repetition buys nothing; the seconds are informational. *)
@@ -722,7 +694,7 @@ let run_json path =
     Buffer.add_string buf "  }"
   in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"actable-bench/9\",\n";
+  Buffer.add_string buf "  \"schema\": \"actable-bench/10\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"pairs\": [%s],\n"
        (String.concat ", "
@@ -769,61 +741,27 @@ let run_json path =
   Buffer.add_string buf
     (Printf.sprintf "      \"speedup_j4\": %.2f\n" speedup_j4);
   Buffer.add_string buf "    },\n";
-  let gc_block rows speedup ratio =
-    Buffer.add_string buf "    \"gc\": {\n";
-    List.iter
-      (fun (name, secs, states, minor, promoted, major) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "      \"%s\": { \"seconds\": %.6f, \"states\": %d, \
-              \"minor_words_per_state\": %.1f, \
-              \"promoted_words_per_state\": %.1f, \"major_collections\": \
-              %d },\n"
-             name secs states minor promoted major))
-      rows;
+  let gc_block (secs, (states, minor, promoted, major)) =
     Buffer.add_string buf
-      (Printf.sprintf "      \"pool_speedup\": %.2f,\n" speedup);
-    Buffer.add_string buf
-      (Printf.sprintf "      \"minor_words_ratio\": %.2f\n" ratio);
-    Buffer.add_string buf "    }\n"
+      (Printf.sprintf
+         "    \"gc\": { \"seconds\": %.6f, \"states\": %d, \
+          \"minor_words_per_state\": %.1f, \"promoted_words_per_state\": \
+          %.1f, \"major_collections\": %d }\n"
+         secs states minor promoted major)
   in
-  gc_block
-    [
-      ("pooled", snd (pool_arm true), p_states, p_minor, p_promoted, p_major);
-      ( "unpooled",
-        snd (pool_arm false),
-        u_states,
-        u_minor,
-        u_promoted,
-        u_major );
-    ]
-    pool_speedup
-    (u_minor /. Float.max p_minor 1e-9);
+  gc_block crash_gc;
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"mc_network\": {\n";
   Buffer.add_string buf
     "    \"protocol\": \"inbac\", \"class\": \"network\", \"n\": 3, \"f\": \
      1, \"jobs\": 1, \"max_states_budget\": 2000,\n";
-  let net_states, net_secs = net_arm true in
   Buffer.add_string buf
     (Printf.sprintf
        "    \"hashed\": { \"seconds\": %.6f, \"states\": %d, \
         \"states_per_sec\": %.0f },\n"
        net_secs net_states
        (float_of_int net_states /. net_secs));
-  gc_block
-    [
-      ("pooled", snd (net_arm true), np_states, np_minor, np_promoted,
-       np_major);
-      ( "unpooled",
-        snd (net_arm false),
-        nu_states,
-        nu_minor,
-        nu_promoted,
-        nu_major );
-    ]
-    net_pool_speedup
-    (nu_minor /. Float.max np_minor 1e-9);
+  gc_block net_gc;
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"symmetry\": {\n";
   Buffer.add_string buf
@@ -907,30 +845,12 @@ let run_json path =
     fp_hashed_ns fp_marshal_ns
     (fp_marshal_ns /. fp_hashed_ns);
   Printf.printf "frontier: cursor j4 %.2fx wall vs cursor j1\n" speedup_j4;
-  if
-    p_states <> u_states
-    || fst (pool_arm true) <> fst (pool_arm false)
-    || np_states <> nu_states
-    || fst (net_arm true) <> fst (net_arm false)
-  then begin
-    Printf.eprintf
-      "bench: snapshot pool changed a state count (crash %d/%d, network \
-       %d/%d pooled/unpooled) — the pool must be exploration-neutral\n"
-      p_states u_states np_states nu_states;
-    exit 1
-  end;
+  let minor_of (_, (_, minor, _, _)) = minor in
   Printf.printf
-    "snapshot pool (crash): %.2fx wall, minor words/state %.0f pooled vs \
-     %.0f unpooled (%.2fx less allocation)\n"
-    pool_speedup p_minor u_minor
-    (u_minor /. Float.max p_minor 1e-9);
-  Printf.printf
-    "snapshot pool (network, capped): %.2fx wall, %.0f states/sec, minor \
-     words/state %.0f pooled vs %.0f unpooled (%.2fx less allocation)\n"
-    net_pool_speedup
-    (float_of_int net_states /. net_secs)
-    np_minor nu_minor
-    (nu_minor /. Float.max np_minor 1e-9);
+    "mc allocation: minor words/state %.0f (crash), %.0f (network, capped; \
+     %.0f states/sec)\n"
+    (minor_of crash_gc) (minor_of net_gc)
+    (float_of_int net_states /. net_secs);
   List.iter
     (fun (name, n, off, off_secs, on, on_secs, reduction) ->
       (* symmetry reduction must be verdict-neutral: both arms clean (or

@@ -770,16 +770,6 @@ let fp_arg =
         Mc_limits.default_fp
     & info [ "fp-backend" ] ~docv:"BACKEND" ~doc)
 
-let snapshot_pool_arg =
-  let doc =
-    "Recycle machine-snapshot records across DFS nodes instead of \
-     allocating fresh ones on every node (default true). Changes \
-     allocation behaviour only: verdicts, counters and rendered output \
-     are byte-identical either way; CI diffs the two modes."
-  in
-  Arg.(
-    value & opt bool true & info [ "snapshot-pool" ] ~docv:"BOOL" ~doc)
-
 let symmetry_arg =
   let doc =
     "Symmetry reduction: canonicalize state fingerprints under the \
@@ -805,7 +795,7 @@ let mc_cmd =
              the wall time of the exploration) and the peak visited-table \
              occupancy of any frontier item.")
   in
-  let action protocol n f klass expect budgets fp pool symmetry stats
+  let action protocol n f klass expect budgets fp symmetry stats
       consensus vote0 msc jobs =
     let vote_sets =
       match vote0 with
@@ -820,7 +810,7 @@ let mc_cmd =
     let gc0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     let outcome =
-      Mc_run.run ~consensus ?vote_sets ~budgets ~fp ~pool ~symmetry ?jobs
+      Mc_run.run ~consensus ?vote_sets ~budgets ~fp ~symmetry ?jobs
         ~protocol ~n ~f ~klass ()
     in
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -897,7 +887,7 @@ let mc_cmd =
       const action $ protocol_arg $ mc_n_arg $ mc_f_arg $ class_arg
       $ expect_arg
       $ budgets_term ~default_states:400_000
-      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ stats_arg $ consensus_arg
+      $ fp_arg $ symmetry_arg $ stats_arg $ consensus_arg
       $ vote0_arg $ msc_arg $ jobs_arg)
   in
   Cmd.v
@@ -909,9 +899,9 @@ let mc_cmd =
     term
 
 let mctable_cmd =
-  let action n f budgets fp pool symmetry jobs =
+  let action n f budgets fp symmetry jobs =
     let text, ok =
-      Table_mc.render_checked ~budgets ~fp ~pool ~symmetry ?jobs ~n ~f ()
+      Table_mc.render_checked ~budgets ~fp ~symmetry ?jobs ~n ~f ()
     in
     print_string text;
     gate "mctable" ok
@@ -920,7 +910,7 @@ let mctable_cmd =
     Term.(
       const action $ mc_n_arg $ mc_f_arg
       $ budgets_term ~default_states:120_000
-      $ fp_arg $ snapshot_pool_arg $ symmetry_arg $ jobs_arg)
+      $ fp_arg $ symmetry_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "mctable"

@@ -86,10 +86,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     klass : exec_class;
     budgets : Mc_limits.budgets;
     fp : Mc_limits.fp_backend;
-    pool : bool;
-        (* recycle machine/context snapshot records across DFS nodes;
-           observable behaviour (verdicts, counters, output bytes) is
-           identical with the pool on and off *)
     symmetry : bool;
         (* canonicalize fingerprints under the machine's process-
            permutation group (refined by the vote assignment), collapsing
@@ -248,27 +244,21 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     sc_soft : int vec;
     sc_fp_msgs : pmsg vec;
     sc_fp_timers : ptimer vec;
-    mutable snap_pool : ctx_snap list;
-    mutable snap_owner : int;
-        (* Domain id owning the pooled context snapshots; mirrors the
-           machine-level pool ownership (see {!Machine}): records are
-           dropped, never handed over, if the ctx changes domains *)
   }
 
-  and ctx_snap = {
-    mutable cs_pooled : bool;
-    mutable cs_m : M.snapshot;
+  type ctx_snap = {
+    cs_m : M.snapshot;
     cs_sends_by : int array;
-    mutable cs_creation : int;
-    mutable cs_clock_t : Sim_time.t;
-    mutable cs_clock_k : int;
-    mutable cs_pending_msgs : pmsg list;
-    mutable cs_pending_timers : ptimer list;
-    mutable cs_crashes_left : int;
-    mutable cs_proposed : bool;
-    mutable cs_overtaken : int list;
-    mutable cs_late_count : int;
-    mutable cs_someone_no : bool;
+    cs_creation : int;
+    cs_clock_t : Sim_time.t;
+    cs_clock_k : int;
+    cs_pending_msgs : pmsg list;
+    cs_pending_timers : ptimer list;
+    cs_crashes_left : int;
+    cs_proposed : bool;
+    cs_overtaken : int list;
+    cs_late_count : int;
+    cs_someone_no : bool;
   }
 
   let max_late_of cfg =
@@ -378,7 +368,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
     {
       cfg;
-      m = M.create ~pool:cfg.pool ~env_of ~n:cfg.n ~u:cfg.u ~sink ();
+      m = M.create ~env_of ~n:cfg.n ~u:cfg.u ~sink ();
       box_msgs;
       box_self;
       box_timers;
@@ -417,8 +407,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       sc_soft = vec_make ();
       sc_fp_msgs = vec_make ();
       sc_fp_timers = vec_make ();
-      snap_pool = [];
-      snap_owner = (Domain.self () :> int);
     }
 
   (* ---- the overtaken bitset --------------------------------------- *)
@@ -467,59 +455,21 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   (* ---- context snapshots ------------------------------------------ *)
 
-  (* Pooled ctx snapshots are domain-local, like the machine's: driving
-     the ctx from a new domain abandons the old pool. *)
-  let adopt_pool ctx =
-    let d = (Domain.self () :> int) in
-    if ctx.snap_owner <> d then begin
-      ctx.snap_pool <- [];
-      ctx.snap_owner <- d
-    end
-
   let save ctx =
-    if ctx.cfg.pool then adopt_pool ctx;
-    match ctx.snap_pool with
-    | s :: rest ->
-        ctx.snap_pool <- rest;
-        s.cs_pooled <- false;
-        s.cs_m <- M.snapshot ctx.m;
-        Array.blit ctx.sends_by 0 s.cs_sends_by 0 (Array.length ctx.sends_by);
-        s.cs_creation <- !(ctx.creation);
-        s.cs_clock_t <- ctx.clock_t;
-        s.cs_clock_k <- ctx.clock_k;
-        s.cs_pending_msgs <- ctx.pending_msgs;
-        s.cs_pending_timers <- ctx.pending_timers;
-        s.cs_crashes_left <- ctx.crashes_left;
-        s.cs_proposed <- ctx.proposed;
-        s.cs_overtaken <- ctx.overtaken;
-        s.cs_late_count <- ctx.late_count;
-        s.cs_someone_no <- ctx.someone_no;
-        s
-    | [] ->
-        {
-          cs_pooled = false;
-          cs_m = M.snapshot ctx.m;
-          cs_sends_by = Array.copy ctx.sends_by;
-          cs_creation = !(ctx.creation);
-          cs_clock_t = ctx.clock_t;
-          cs_clock_k = ctx.clock_k;
-          cs_pending_msgs = ctx.pending_msgs;
-          cs_pending_timers = ctx.pending_timers;
-          cs_crashes_left = ctx.crashes_left;
-          cs_proposed = ctx.proposed;
-          cs_overtaken = ctx.overtaken;
-          cs_late_count = ctx.late_count;
-          cs_someone_no = ctx.someone_no;
-        }
-
-  let release ctx s =
-    if ctx.cfg.pool && not s.cs_pooled then begin
-      s.cs_pooled <- true;
-      M.release ctx.m s.cs_m;
-      if ctx.snap_owner = (Domain.self () :> int) then
-        ctx.snap_pool <- s :: ctx.snap_pool
-      (* else: captured under another domain — retire it to the GC *)
-    end
+    {
+      cs_m = M.snapshot ctx.m;
+      cs_sends_by = Array.copy ctx.sends_by;
+      cs_creation = !(ctx.creation);
+      cs_clock_t = ctx.clock_t;
+      cs_clock_k = ctx.clock_k;
+      cs_pending_msgs = ctx.pending_msgs;
+      cs_pending_timers = ctx.pending_timers;
+      cs_crashes_left = ctx.crashes_left;
+      cs_proposed = ctx.proposed;
+      cs_overtaken = ctx.overtaken;
+      cs_late_count = ctx.late_count;
+      cs_someone_no = ctx.someone_no;
+    }
 
   let restore ctx s =
     M.restore ctx.m s.cs_m;
@@ -1458,10 +1408,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                         (cand :: path_rev);
                       sleep_now := k :: !sleep_now
                     end)
-                  cands;
-                (* backtracking past this node: its snapshot can never be
-                   restored again, so its records go back to the pools *)
-                release ctx snap
+                  cands
               end)
     in
     go ~sleep:[] ~depth:0 []
@@ -1804,7 +1751,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     klass : exec_class;
     budgets : Mc_limits.budgets;
     fp : Mc_limits.fp_backend;
-    pool : bool;  (** recycle snapshot records across DFS nodes *)
     symmetry : bool;
         (** canonicalize fingerprints under the protocol's declared
             process-permutation group, prune permutation-twin crash
@@ -1865,7 +1811,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               klass = p.klass;
               budgets = p.budgets;
               fp = p.fp;
-              pool = p.pool;
               symmetry = p.symmetry;
             }
           in
@@ -1911,7 +1856,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         klass = { allow_crashes = false; allow_late = false };
         budgets = Mc_limits.default_budgets ~u;
         fp = Mc_limits.default_fp;
-        pool = true;
         symmetry = false;
       }
     in

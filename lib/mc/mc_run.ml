@@ -42,8 +42,7 @@ type outcome = {
 let clean o = o.violation = None
 
 let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
-    ?(fp = Mc_limits.default_fp) ?(pool = true) ?symmetry ?jobs ~protocol ~n
-    ~f ~klass () =
+    ?(fp = Mc_limits.default_fp) ?symmetry ?jobs ~protocol ~n ~f ~klass () =
   let reg = Registry.find_exn protocol in
   let module P = (val reg.Registry.proto) in
   let module C =
@@ -75,7 +74,6 @@ let run ?(consensus = Registry.Paxos) ?u ?vote_sets ?budgets
         klass = { E.allow_crashes; allow_late };
         budgets;
         fp;
-        pool;
         symmetry;
         jobs;
       }
@@ -145,7 +143,6 @@ let fingerprint_sampler ?(consensus = Registry.Paxos) ?u
       klass = { E.allow_crashes; allow_late };
       budgets = Mc_limits.default_budgets ~u;
       fp = Mc_limits.default_fp;
-      pool = true;
       symmetry;
     }
   in

@@ -33,7 +33,6 @@ val run :
   ?vote_sets:Vote.t array list ->
   ?budgets:Mc_limits.budgets ->
   ?fp:Mc_limits.fp_backend ->
-  ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
   protocol:string ->
@@ -47,10 +46,6 @@ val run :
     schedule prefixes, each explored with its own visited table; the
     prefixes fan out over [jobs] domains through {!Batch.run}. The
     counters are therefore deterministic and independent of [jobs].
-
-    [~pool] (default [true]) recycles snapshot records across DFS nodes
-    (strictly per-domain; see {!Machine.S.release}); it changes
-    allocation only, never verdicts, counters or output bytes.
 
     [~symmetry] (default {!Mc_limits.default_symmetry}) canonicalizes
     fingerprints under the protocol's declared process-permutation group

@@ -19,13 +19,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   }
 
   type snapshot = {
-    mutable s_stamp : int;
-        (* value of [t.stamp] when this record was (re)captured; entries
-           whose [last_mut] exceeds it have diverged from the record *)
-    mutable s_pooled : bool;
-    mutable s_trace : Trace.snapshot;
-    mutable s_crash_count : int;
-    mutable s_epoch_bumps : int;
+    s_trace : Trace.snapshot;
+    s_crash_count : int;
+    s_epoch_bumps : int;
     s_pstates : P.state array;
     s_cstates : C.state array;
     s_crashed : Sim_time.t option array;
@@ -39,7 +35,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     env_of : Pid.t -> Proto.env;
     u : Sim_time.t;
     mutable sink : sink;
-        (* swapped by [reset] when a pooled machine is re-bound to a new
+        (* swapped by [reset] when a recycled machine is re-bound to a new
            commit instance *)
     trace : Trace.t;
     trace_on : bool;
@@ -61,22 +57,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
         (* per process: current cancellation epoch of each named timer.
            Immutable alists so snapshot/restore share them by reference
            instead of copying a hashtable per process per snapshot. *)
-    pool_on : bool;
-    mutable pool : snapshot list;
-        (* released snapshot records awaiting recapture *)
-    mutable pool_owner : int;
-        (* Domain id that owns the pooled records. Pools are strictly
-           domain-local: if the machine is ever driven from a different
-           domain, the pool is dropped and re-owned rather than handing
-           records captured on one domain to another (see [adopt]). *)
-    mutable stamp : int;
-        (* bumped after every capture; [last_mut] entries are compared
-           against a record's [s_stamp] to find which pids diverged *)
-    last_mut : int array;
-        (* per pid: [stamp] at the time of its last mutation. Monotone:
-           restore re-marks rewound entries with the current stamp rather
-           than rewinding, so the dirty test stays sound for pooled
-           records captured at any earlier stamp. *)
     mutable crash_count : int;
     mutable epoch_bumps : int;
         (* monotone-per-path mutation counters (rewound by [restore]):
@@ -84,7 +64,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
            re-filtering its pending lists on quiet steps *)
   }
 
-  let create ?(pool = false) ?(record_trace = true) ~env_of ~n ~u ~sink () =
+  let create ?(record_trace = true) ~env_of ~n ~u ~sink () =
     {
       env_of;
       u;
@@ -99,19 +79,9 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       cons_decided = Array.make n false;
       send_budget = Array.make n None;
       timer_epochs = Array.make n [];
-      pool_on = pool;
-      pool = [];
-      pool_owner = (Domain.self () :> int);
-      stamp = 1;
-      last_mut = Array.make n 0;
       crash_count = 0;
       epoch_bumps = 0;
     }
-
-  (* Every write to a per-pid slot must mark the pid as mutated at the
-     current stamp, or pooled snapshots would treat the slot as still
-     agreeing with their captured copy. *)
-  let touch t i = t.last_mut.(i) <- t.stamp
 
   let empty_trace = Trace.snapshot (Trace.create ())
 
@@ -126,11 +96,8 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       t.decisions.(i) <- None;
       t.cons_decided.(i) <- false;
       t.send_budget.(i) <- None;
-      t.timer_epochs.(i) <- [];
-      t.last_mut.(i) <- 0
+      t.timer_epochs.(i) <- []
     done;
-    t.pool <- [];
-    t.stamp <- 1;
     t.crash_count <- 0;
     t.epoch_bumps <- 0
 
@@ -201,7 +168,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   let mark_crashed t ~now pid =
     if not (is_crashed t pid) then begin
       t.crashed.(Pid.index pid) <- Some now;
-      touch t (Pid.index pid);
       t.crash_count <- t.crash_count + 1;
       if t.trace_on then Trace.add t.trace (Trace.Crash { at = now; pid })
     end
@@ -214,7 +180,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     | Some (at, remaining) when Sim_time.equal at now ->
         if !remaining > 0 then begin
           decr remaining;
-          touch t (Pid.index src);
           true
         end
         else begin
@@ -275,14 +240,12 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       :: List.filter
            (fun (l, i', _) -> not (l = layer && String.equal i' id))
            t.timer_epochs.(i);
-    touch t i;
     t.epoch_bumps <- t.epoch_bumps + 1
 
   let record_decision t ~now ~pid decision =
     match t.decisions.(Pid.index pid) with
     | None ->
         t.decisions.(Pid.index pid) <- Some (now, decision);
-        touch t (Pid.index pid);
         if t.trace_on then
           Trace.add t.trace (Trace.Decide { at = now; pid; decision })
     | Some (_, first) ->
@@ -324,7 +287,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                    });
             let cstate, cactions = C.on_propose env t.cstates.(Pid.index pid) v in
             t.cstates.(Pid.index pid) <- cstate;
-            touch t (Pid.index pid);
             interpret_cons t ~now ~pid cactions
         | Proto.Note (label, value) ->
             if t.trace_on then
@@ -351,7 +313,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                the commit layer exactly once. *)
             if not t.cons_decided.(Pid.index pid) then begin
               t.cons_decided.(Pid.index pid) <- true;
-              touch t (Pid.index pid);
               if t.trace_on then
                 Trace.add t.trace
                   (Trace.Note
@@ -367,7 +328,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
                   (Vote.vote_of_decision d)
               in
               t.pstates.(Pid.index pid) <- pstate;
-              touch t (Pid.index pid);
               interpret_commit t ~now ~pid pactions
             end
         | Proto.Propose_consensus _ ->
@@ -394,7 +354,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
               Trace.add t.trace (Trace.Guard { at = now; pid; guard = id });
             let state, actions = P.on_guard env state ~id in
             t.pstates.(Pid.index pid) <- state;
-            touch t (Pid.index pid);
             commit_actions t ~now ~pid actions;
             loop (fuel - 1)
       in
@@ -404,8 +363,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
   (* ---- steps ----------------------------------------------------- *)
 
   let set_send_budget t pid ~at k =
-    t.send_budget.(Pid.index pid) <- Some (at, ref k);
-    touch t (Pid.index pid)
+    t.send_budget.(Pid.index pid) <- Some (at, ref k)
 
   let crash t ~now pid = mark_crashed t ~now pid
 
@@ -416,7 +374,6 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       let env = t.env_of pid in
       let state, actions = P.on_propose env t.pstates.(Pid.index pid) vote in
       t.pstates.(Pid.index pid) <- state;
-      touch t (Pid.index pid);
       interpret_commit t ~now ~pid actions
     end
 
@@ -442,12 +399,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
       | Commit_msg m ->
           let state, actions = P.on_deliver env t.pstates.(Pid.index dst) ~src m in
           t.pstates.(Pid.index dst) <- state;
-          touch t (Pid.index dst);
           interpret_commit t ~now ~pid:dst actions
       | Cons_msg m ->
           let state, actions = C.on_deliver env t.cstates.(Pid.index dst) ~src m in
           t.cstates.(Pid.index dst) <- state;
-          touch t (Pid.index dst);
           interpret_cons t ~now ~pid:dst actions
     end
 
@@ -462,12 +417,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
          | Trace.Commit_layer ->
              let state, actions = P.on_timeout env t.pstates.(Pid.index pid) ~id in
              t.pstates.(Pid.index pid) <- state;
-             touch t (Pid.index pid);
              interpret_commit t ~now ~pid actions
          | Trace.Consensus_layer ->
              let state, actions = C.on_timeout env t.cstates.(Pid.index pid) ~id in
              t.cstates.(Pid.index pid) <- state;
-             touch t (Pid.index pid);
              interpret_cons t ~now ~pid actions
        end);
       true
@@ -480,115 +433,35 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
 
   let budget_value (at, remaining) = (at, !remaining)
 
-  let fresh_snapshot t =
-    let s =
-      {
-        s_stamp = t.stamp;
-        s_pooled = false;
-        s_trace = Trace.snapshot t.trace;
-        s_crash_count = t.crash_count;
-        s_epoch_bumps = t.epoch_bumps;
-        s_pstates = Array.copy t.pstates;
-        s_cstates = Array.copy t.cstates;
-        s_crashed = Array.copy t.crashed;
-        s_decisions = Array.copy t.decisions;
-        s_cons_decided = Array.copy t.cons_decided;
-        s_send_budget = Array.map (Option.map budget_value) t.send_budget;
-        s_timer_epochs = Array.copy t.timer_epochs;
-      }
-    in
-    t.stamp <- t.stamp + 1;
-    s
-
-  (* Recapture into a released record: only pids mutated since the
-     record's own capture stamp can disagree with its arrays (every write
-     path calls [touch], and [restore]'s writes re-mark with the current
-     stamp instead of rewinding, so the comparison is sound even though
-     the record sat in the pool across intervening restores). *)
-  let capture_into t s =
-    s.s_pooled <- false;
-    s.s_trace <- Trace.snapshot t.trace;
-    s.s_crash_count <- t.crash_count;
-    s.s_epoch_bumps <- t.epoch_bumps;
-    let stamp = s.s_stamp in
-    for i = 0 to Array.length t.pstates - 1 do
-      if t.last_mut.(i) > stamp then begin
-        s.s_pstates.(i) <- t.pstates.(i);
-        s.s_cstates.(i) <- t.cstates.(i);
-        s.s_crashed.(i) <- t.crashed.(i);
-        s.s_decisions.(i) <- t.decisions.(i);
-        s.s_cons_decided.(i) <- t.cons_decided.(i);
-        s.s_send_budget.(i) <- Option.map budget_value t.send_budget.(i);
-        s.s_timer_epochs.(i) <- t.timer_epochs.(i)
-      end
-    done;
-    s.s_stamp <- t.stamp;
-    t.stamp <- t.stamp + 1;
-    s
-
-  (* Pooled records never cross domains: a machine driven from a new
-     domain abandons the records captured on the old one (they are
-     garbage-collected) and starts a fresh pool it owns. The check is a
-     single int compare on the hot path; in the common case (the model
-     checker creates one machine per worker domain and never migrates
-     it) the branch is never taken. *)
-  let adopt t =
-    let d = (Domain.self () :> int) in
-    if t.pool_owner <> d then begin
-      t.pool <- [];
-      t.pool_owner <- d
-    end
-
   let snapshot t =
-    if t.pool_on then adopt t;
-    match t.pool with
-    | s :: rest ->
-        t.pool <- rest;
-        capture_into t s
-    | [] -> fresh_snapshot t
-
-  let release t s =
-    if t.pool_on && not s.s_pooled then begin
-      s.s_pooled <- true;
-      if t.pool_owner = (Domain.self () :> int) then t.pool <- s :: t.pool
-      (* else: [s] was captured while another domain owned the pool —
-         retire it to the GC instead of handing it across domains *)
-    end
+    {
+      s_trace = Trace.snapshot t.trace;
+      s_crash_count = t.crash_count;
+      s_epoch_bumps = t.epoch_bumps;
+      s_pstates = Array.copy t.pstates;
+      s_cstates = Array.copy t.cstates;
+      s_crashed = Array.copy t.crashed;
+      s_decisions = Array.copy t.decisions;
+      s_cons_decided = Array.copy t.cons_decided;
+      s_send_budget = Array.map (Option.map budget_value) t.send_budget;
+      s_timer_epochs = Array.copy t.timer_epochs;
+    }
 
   let restore t s =
     Trace.restore t.trace s.s_trace;
     t.crash_count <- s.s_crash_count;
     t.epoch_bumps <- s.s_epoch_bumps;
-    if t.pool_on then begin
-      let stamp = s.s_stamp in
-      for i = 0 to Array.length t.pstates - 1 do
-        if t.last_mut.(i) > stamp then begin
-          t.pstates.(i) <- s.s_pstates.(i);
-          t.cstates.(i) <- s.s_cstates.(i);
-          t.crashed.(i) <- s.s_crashed.(i);
-          t.decisions.(i) <- s.s_decisions.(i);
-          t.cons_decided.(i) <- s.s_cons_decided.(i);
-          t.send_budget.(i) <-
-            Option.map (fun (at, remaining) -> (at, ref remaining))
-              s.s_send_budget.(i);
-          t.timer_epochs.(i) <- s.s_timer_epochs.(i);
-          t.last_mut.(i) <- t.stamp
-        end
-      done
-    end
-    else begin
-      Array.blit s.s_pstates 0 t.pstates 0 (Array.length t.pstates);
-      Array.blit s.s_cstates 0 t.cstates 0 (Array.length t.cstates);
-      Array.blit s.s_crashed 0 t.crashed 0 (Array.length t.crashed);
-      Array.blit s.s_decisions 0 t.decisions 0 (Array.length t.decisions);
-      Array.blit s.s_cons_decided 0 t.cons_decided 0
-        (Array.length t.cons_decided);
-      Array.iteri
-        (fun i b ->
-          t.send_budget.(i) <-
-            Option.map (fun (at, remaining) -> (at, ref remaining)) b)
-        s.s_send_budget;
-      Array.blit s.s_timer_epochs 0 t.timer_epochs 0
-        (Array.length t.timer_epochs)
-    end
+    Array.blit s.s_pstates 0 t.pstates 0 (Array.length t.pstates);
+    Array.blit s.s_cstates 0 t.cstates 0 (Array.length t.cstates);
+    Array.blit s.s_crashed 0 t.crashed 0 (Array.length t.crashed);
+    Array.blit s.s_decisions 0 t.decisions 0 (Array.length t.decisions);
+    Array.blit s.s_cons_decided 0 t.cons_decided 0
+      (Array.length t.cons_decided);
+    Array.iteri
+      (fun i b ->
+        t.send_budget.(i) <-
+          Option.map (fun (at, remaining) -> (at, ref remaining)) b)
+      s.s_send_budget;
+    Array.blit s.s_timer_epochs 0 t.timer_epochs 0
+      (Array.length t.timer_epochs)
 end

@@ -46,17 +46,10 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
   type t
 
   val create :
-    ?pool:bool -> ?record_trace:bool ->
+    ?record_trace:bool ->
     env_of:(Pid.t -> Proto.env) -> n:int -> u:Sim_time.t -> sink:sink ->
     unit -> t
-  (** [?pool] (default [false]) turns on snapshot pooling: {!release}d
-      snapshot records are recycled by the next {!snapshot}, which
-      re-copies only the per-pid slots mutated since the record's own
-      capture, and {!restore} writes back only the slots mutated since
-      the snapshot was taken. Observable behaviour is identical either
-      way; the pool only changes allocation.
-
-      [?record_trace] (default [true]) controls whether {!trace}
+  (** [?record_trace] (default [true]) controls whether {!trace}
       accumulates an entry per event. Tracing never feeds back into the
       automata, so turning it off changes no observable behaviour — it
       skips the per-event entry allocation and the message-tag rendering,
@@ -140,21 +133,13 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) : sig
   type snapshot
 
   val snapshot : t -> snapshot
+  (** A fresh capture: copies the per-process arrays, shares the
+      immutable values they hold. *)
+
   val restore : t -> snapshot -> unit
   (** [restore t s] rewinds [t] to the exact state captured by
       [snapshot t]: process states, decisions, crashes, budgets, timer
       epochs and the trace. Sink callbacks are not rewound — the caller
-      owns whatever the sink accumulated. *)
-
-  val release : t -> snapshot -> unit
-  (** Return a snapshot record to the machine's pool for recycling by a
-      later {!snapshot}. The caller promises never to {!restore} from it
-      again. No-op when the machine was created without [~pool:true];
-      releasing the same record twice is a no-op.
-
-      Pools are strictly domain-local: if the machine is driven from a
-      new domain, {!snapshot} abandons the records pooled on the old one
-      and starts a fresh pool, and [release] retires (rather than pools)
-      a record captured under another domain — pooled records are never
-      handed across domains. *)
+      owns whatever the sink accumulated. A snapshot may be restored any
+      number of times. *)
 end

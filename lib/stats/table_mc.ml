@@ -36,14 +36,14 @@ let row_ok (o : Mc_run.outcome) claimed =
       && o.Mc_run.replay_verified = Some true
 
 let rows ?(protocols = default_protocols) ?(classes = default_classes)
-    ?budgets ?fp ?pool ?symmetry ?jobs ~n ~f () =
+    ?budgets ?fp ?symmetry ?jobs ~n ~f () =
   List.concat_map
     (fun protocol ->
       let cell = (Complexity.find_exn protocol).Complexity.cell in
       List.map
         (fun klass ->
           let outcome =
-            Mc_run.run ?budgets ?fp ?pool ?symmetry ?jobs ~protocol ~n ~f
+            Mc_run.run ?budgets ?fp ?symmetry ?jobs ~protocol ~n ~f
               ~klass ()
           in
           let claimed = claimed_for_class cell klass in
@@ -51,10 +51,10 @@ let rows ?(protocols = default_protocols) ?(classes = default_classes)
         classes)
     protocols
 
-let render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n
+let render_checked ?protocols ?classes ?budgets ?fp ?symmetry ?jobs ~n
     ~f () =
   let rs =
-    rows ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n ~f ()
+    rows ?protocols ?classes ?budgets ?fp ?symmetry ?jobs ~n ~f ()
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -93,7 +93,7 @@ let render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n
   Buffer.add_string buf (Ascii.render table);
   (Buffer.contents buf, List.for_all (fun r -> r.ok) rs)
 
-let render ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n ~f () =
+let render ?protocols ?classes ?budgets ?fp ?symmetry ?jobs ~n ~f () =
   fst
-    (render_checked ?protocols ?classes ?budgets ?fp ?pool ?symmetry ?jobs ~n
+    (render_checked ?protocols ?classes ?budgets ?fp ?symmetry ?jobs ~n
        ~f ())

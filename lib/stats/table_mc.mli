@@ -25,7 +25,6 @@ val rows :
   ?classes:Mc_run.exec_class list ->
   ?budgets:Mc_limits.budgets ->
   ?fp:Mc_limits.fp_backend ->
-  ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
   n:int ->
@@ -38,7 +37,6 @@ val render :
   ?classes:Mc_run.exec_class list ->
   ?budgets:Mc_limits.budgets ->
   ?fp:Mc_limits.fp_backend ->
-  ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
   n:int ->
@@ -51,7 +49,6 @@ val render_checked :
   ?classes:Mc_run.exec_class list ->
   ?budgets:Mc_limits.budgets ->
   ?fp:Mc_limits.fp_backend ->
-  ?pool:bool ->
   ?symmetry:bool ->
   ?jobs:int ->
   n:int ->

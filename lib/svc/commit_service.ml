@@ -20,7 +20,6 @@ type spec = {
   election_timeout : Sim_time.t option;
   soak : bool;
   flush_every : int;
-  recycle : bool;
   max_time : Sim_time.t;
   seed : int;
 }
@@ -47,7 +46,6 @@ let default =
     election_timeout = Some (12 * u);
     soak = false;
     flush_every = 0;
-    recycle = true;
     max_time = 100_000 * u;
     seed = 11;
   }
@@ -357,9 +355,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
     in
 
     (* Machines recycle: a retired instance's machine resets in place for
-       the next one ([recycle = false] pins the fresh-create path, the
-       reset-vs-fresh differential the tests run). Tracing stays off —
-       the service never reads traces. *)
+       the next one. Tracing stays off — the service never reads traces. *)
     let machine_pool : M.t list ref = ref [] in
     let take_machine tag started =
       match !machine_pool with
@@ -369,9 +365,7 @@ module Make (P : Proto.PROTOCOL) (C : Proto.CONSENSUS) = struct
           m
       | [] -> M.create ~record_trace:false ~env_of ~n ~u ~sink:(sink tag started) ()
     in
-    let release_machine m =
-      if spec.recycle then machine_pool := m :: !machine_pool
-    in
+    let release_machine m = machine_pool := m :: !machine_pool in
     let inst_pool : inst list ref = ref [] in
 
     let schedule_instance_events inst now =

@@ -56,7 +56,7 @@
       write-ahead entries left on live shards.
     - {b Soak scale}: the service's footprint is the {e live} state, not
       the history — machines and instance records recycle through pools
-      ({!Machine.reset}, disable with [recycle = false]), event cells and
+      ({!Machine.reset}), event cells and
       Mux slots recycle ({!Mux.retire}), fully resolved instances retire
       with their atomicity checked incrementally, and [soak = true] swaps
       the exact latency/queue histograms for fixed-bin streaming ones —
@@ -114,10 +114,6 @@ type spec = {
   flush_every : int;
       (** stderr progress line every this many issued transactions;
           0 disables *)
-  recycle : bool;
-      (** pool and reset machines instead of creating one per drive;
-          observable behaviour is identical (the reset-vs-fresh
-          differential in the tests pins this), only allocation changes *)
   max_time : Sim_time.t;  (** safety horizon for the simulated clock *)
   seed : int;
 }

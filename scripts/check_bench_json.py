@@ -5,7 +5,7 @@ Fails (exit 1) when a required key is missing or a measured quantity is
 non-positive, so a refactor that silently drops a metric from the JSON
 breaks the build instead of the dashboard.
 
---max-minor-words-per-state N additionally gates on the pooled
+--max-minor-words-per-state N additionally gates on the
 minor-allocation rate of both pinned model-checking configurations: a
 change that regresses the DFS hot path back to allocation-heavy code
 trips the ceiling even when the wall-clock numbers are too noisy to.
@@ -32,7 +32,7 @@ def need(cond, what):
         errors.append(what)
 
 
-need(doc.get("schema") == "actable-bench/9", "schema actable-bench/9")
+need(doc.get("schema") == "actable-bench/10", "schema actable-bench/10")
 need(isinstance(doc.get("pairs"), list) and doc["pairs"], "non-empty pairs")
 
 for section in ("nice_run_seconds", "table_seconds"):
@@ -91,35 +91,28 @@ if isinstance(h.get("states"), (int, float)) and \
     need(cursor["states"] == h["states"],
          "frontier per-item states match mc.backends.hashed.states")
 
-# gc blocks: one under mc (crash-pinned) and one under mc_network. The
-# pooled and unpooled arms must have explored the same space — the
-# snapshot pool is exploration-neutral by contract — and the pooled
-# minor-allocation rate may be gated by --max-minor-words-per-state.
-def check_gc(block, where):
+# gc rows: one under mc (crash-pinned) and one under mc_network, each
+# measured on the same configuration as its block's timed row (so the
+# state counts must agree). The minor-allocation rate may be gated by
+# --max-minor-words-per-state.
+def check_gc(block, where, timed):
     gc = block.get("gc", {})
-    for arm in ("pooled", "unpooled"):
-        row = gc.get(arm, {})
-        for k in ("seconds", "states"):
-            need(isinstance(row.get(k), (int, float)) and row[k] > 0,
-                 f"{where}.gc.{arm}.{k} > 0")
-        for k in ("minor_words_per_state", "promoted_words_per_state",
-                  "major_collections"):
-            need(isinstance(row.get(k), (int, float)) and row[k] >= 0,
-                 f"{where}.gc.{arm}.{k} >= 0")
-    p, u = gc.get("pooled", {}), gc.get("unpooled", {})
-    need(p.get("states") == u.get("states"),
-         f"{where}.gc arms agree on states (pool is exploration-neutral)")
-    for k in ("pool_speedup", "minor_words_ratio"):
+    for k in ("seconds", "states"):
         need(isinstance(gc.get(k), (int, float)) and gc[k] > 0,
              f"{where}.gc.{k} > 0")
+    for k in ("minor_words_per_state", "promoted_words_per_state",
+              "major_collections"):
+        need(isinstance(gc.get(k), (int, float)) and gc[k] >= 0,
+             f"{where}.gc.{k} >= 0")
+    need(gc.get("states") == timed.get("states"),
+         f"{where}.gc.states matches the timed row's states")
     if max_minor_words is not None and \
-       isinstance(p.get("minor_words_per_state"), (int, float)):
-        need(p["minor_words_per_state"] <= max_minor_words,
-             f"{where}.gc.pooled.minor_words_per_state <= "
-             f"{max_minor_words:g}")
+       isinstance(gc.get("minor_words_per_state"), (int, float)):
+        need(gc["minor_words_per_state"] <= max_minor_words,
+             f"{where}.gc.minor_words_per_state <= {max_minor_words:g}")
 
 
-check_gc(mc, "mc")
+check_gc(mc, "mc", h)
 
 mcn = doc.get("mc_network", {})
 for k in ("protocol", "class", "n", "f", "jobs", "max_states_budget"):
@@ -128,7 +121,7 @@ row = mcn.get("hashed", {})
 for k in ("seconds", "states", "states_per_sec"):
     need(isinstance(row.get(k), (int, float)) and row[k] > 0,
          f"mc_network.hashed.{k} > 0")
-check_gc(mcn, "mc_network")
+check_gc(mcn, "mc_network", row)
 
 # symmetry-reduction section (since actable-bench/6): three execution-class
 # arms, each a symmetry-off vs symmetry-on pair on the same deterministic
